@@ -50,8 +50,6 @@ from .tail import (
     estimate_b,
     estimate_tail_at,
     neg_hill_inv_alpha,
-    select_k_alpha,
-    select_k_b,
     tail_m,
 )
 
@@ -102,8 +100,6 @@ __all__ = [
     "estimate_b",
     "estimate_tail_at",
     "neg_hill_inv_alpha",
-    "select_k_alpha",
-    "select_k_b",
     "tail_m",
     "__version__",
 ]

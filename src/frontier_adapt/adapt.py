@@ -19,7 +19,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DegenerateWindow, DomainError, InvalidConfig, NumericalBreakdown, WindowTooSmall
 from .local_poly import Sample, estimate_at, window_indices
-from .tail import TailFunction, a_hat, estimate_tail_at
+from .tail import TailFunction, _bump, a_hat, estimate_tail_at, first_drift
 
 # Calibrated defaults for the critical-value constants.  The theory only
 # proves such constants exist; these values come from the pilot study in
@@ -183,10 +183,11 @@ def critical_values_lq(grid: BandwidthGrid, tail, q: float, cfg: EstimatorConfig
     return CriticalValues(raw=raw, truncated=_truncate_monotonize(raw), kind="lq", q=q)
 
 
-def _fallback_cvs(K: int, kind: str, q=None) -> CriticalValues:
+def _fallback_cvs(K: int, q=None) -> CriticalValues:
     """Fully truncated critical values for points with degenerate tails."""
     raw = np.ones(K + 1)
     raw[K] = 0.0
+    kind = "pointwise" if q is None else "lq"
     return CriticalValues(raw=raw, truncated=_truncate_monotonize(raw), kind=kind, q=q)
 
 
@@ -218,12 +219,12 @@ def lepski_select(estimates, cvs: CriticalValues, q: float | None = None) -> int
                 return np.nan
             return float(np.mean(np.abs(a[mask] - b[mask]) ** q) ** (1.0 / q))
 
-    for k in range(K):
-        for l in range(k + 1):
-            d = dist(est[k + 1], est[l])
-            if np.isfinite(d) and d > zt[l] + zt[k + 1]:
-                return k
-    return K
+    def distance(k, l):
+        # a pair at infinite distance is skipped like an undefined one
+        d = dist(est[k + 1], est[l])
+        return d if np.isfinite(d) else np.nan
+
+    return first_drift(K, distance, lambda k, l: zt[l] + zt[k + 1])
 
 
 @dataclass
@@ -251,10 +252,6 @@ class Diagnostics:
     warnings: list = field(default_factory=list)
 
 
-def _bump(counters, key, by=1):
-    counters[key] = counters.get(key, 0) + by
-
-
 def _estimate_with_fallback(sample, xp, h, beta_star, counters):
     """Envelope estimate with the degree lowered to fit small windows."""
     nw = window_indices(sample.n, xp, h).size
@@ -274,34 +271,33 @@ def _estimate_with_fallback(sample, xp, h, beta_star, counters):
         return np.nan
 
 
-def _point_selection(sample, cfg, grid, xp, counters):
+def _select_site(sample, cfg, grid, x_tail, fit_points, counters):
+    """One selection site: tail parameters at x_tail, critical values for
+    cfg.q, per-k estimates at fit_points and the Lepski index over them.
+
+    Returns (tail estimate or None, critical values, estimates of shape
+    (K+1, len(fit_points)), k_hat).
+    """
     try:
-        te = estimate_tail_at(sample, xp, grid, cfg.m_exponent, counters)
+        te = estimate_tail_at(sample, x_tail, grid, cfg.m_exponent, counters)
     except DegenerateWindow:
         te = None
         _bump(counters, "tail_degenerate_points")
-    cvs = (
-        critical_values_pointwise(grid, te, cfg)
-        if te is not None
-        else _fallback_cvs(grid.K, "pointwise")
-    )
+    if te is None:
+        cvs = _fallback_cvs(grid.K, cfg.q)
+    elif cfg.q is None:
+        cvs = critical_values_pointwise(grid, te, cfg)
+    else:
+        cvs = critical_values_lq(grid, te, cfg.q, cfg)
     ests = np.array(
         [
-            _estimate_with_fallback(sample, xp, grid.bandwidths[k], cfg.beta_star, counters)
+            [_estimate_with_fallback(sample, xp, grid.bandwidths[k], cfg.beta_star, counters)
+             for xp in fit_points]
             for k in range(grid.K + 1)
         ]
     )
-    k_hat = lepski_select(ests, cvs)
-    value = ests[k_hat]
-    if np.isnan(value):
-        valid = np.flatnonzero(np.isfinite(ests[: k_hat + 1]))
-        if valid.size:
-            value = ests[valid[-1]]
-            _bump(counters, "selected_estimate_missing")
-    sizes = np.array(
-        [window_indices(sample.n, xp, grid.bandwidths[k]).size for k in range(grid.K + 1)]
-    )
-    return value, k_hat, te, cvs, sizes
+    k_hat = lepski_select(ests[:, 0] if cfg.q is None else ests, cvs, q=cfg.q)
+    return te, cvs, ests, k_hat
 
 
 def adaptive_estimate(sample: Sample, cfg: EstimatorConfig, x=None, grid=None):
@@ -325,93 +321,63 @@ def adaptive_estimate(sample: Sample, cfg: EstimatorConfig, x=None, grid=None):
             "h0_exponent >= 0.5: smallest windows may be too thin for stable tail estimation"
         )
     pts = np.atleast_1d(np.asarray(grid if x is None else [x], dtype=float))
-
+    # (tail point, fit points) of each selection site
     if cfg.q is None:
-        values = np.full(pts.size, np.nan)
-        K = bgrid.K
-        k_hats = np.zeros(pts.size, dtype=int)
-        alphas = np.full(pts.size, np.nan)
-        bhats = np.full(pts.size, np.nan)
-        kas = np.full(pts.size, -1, dtype=int)
-        kbs = np.full(pts.size, -1, dtype=int)
-        zraw = np.zeros((pts.size, K + 1))
-        ztr = np.zeros((pts.size, K + 1))
-        zsel = np.full(pts.size, np.nan)
-        sizes = np.zeros((pts.size, K + 1), dtype=int)
-        for i, xp in enumerate(pts):
-            value, k_hat, te, cvs, sz = _point_selection(sample, cfg, bgrid, xp, counters)
-            values[i] = value
-            k_hats[i] = k_hat
-            if te is not None:
-                alphas[i] = 1.0 / te.inv_alpha
-                bhats[i] = te.b_hat
-                kas[i] = te.k_alpha
-                kbs[i] = te.k_b
-            zraw[i] = cvs.raw
-            ztr[i] = cvs.truncated
-            zsel[i] = cvs.truncated[k_hat]
-            sizes[i] = sz
-        diag = Diagnostics(
-            mode="pointwise",
-            points=pts,
-            k_hat=k_hats,
-            alpha_hat=alphas,
-            b_hat=bhats,
-            k_alpha=kas,
-            k_b=kbs,
-            zeta_raw=zraw,
-            zeta_truncated=ztr,
-            zeta_at_k_hat=zsel,
-            window_sizes=sizes,
-            grid=bgrid,
-            counters=counters,
-            warnings=warn,
-        )
-        return (float(values[0]) if x is not None else values), diag
-
-    # empirical L_q mode: one global bandwidth index
-    try:
-        te = estimate_tail_at(sample, 0.5, bgrid, cfg.m_exponent, counters)
-    except DegenerateWindow:
-        te = None
-        _bump(counters, "tail_degenerate_points")
-    cvs = (
-        critical_values_lq(bgrid, te, cfg.q, cfg)
-        if te is not None
-        else _fallback_cvs(bgrid.K, "lq", cfg.q)
-    )
-    design = sample.xs()
-    curves = np.full((bgrid.K + 1, sample.n), np.nan)
-    for k in range(bgrid.K + 1):
-        h = bgrid.bandwidths[k]
-        for j, xd in enumerate(design):
-            curves[k, j] = _estimate_with_fallback(sample, xd, h, cfg.beta_star, counters)
-    k_hat = lepski_select(curves, cvs, q=cfg.q)
-
-    if x is None and pts.size == design.size and np.allclose(pts, design, atol=1e-12):
-        values = curves[k_hat].copy()
+        sites = [(xp, [xp]) for xp in pts]
     else:
-        h = bgrid.bandwidths[k_hat]
-        values = np.array(
-            [_estimate_with_fallback(sample, xp, h, cfg.beta_star, counters) for xp in pts]
-        )
-    sizes = np.array(
-        [window_indices(sample.n, 0.5, bgrid.bandwidths[k]).size for k in range(bgrid.K + 1)]
-    )
+        sites = [(0.5, sample.xs())]
+
+    S, K = len(sites), bgrid.K
+    values = np.full(pts.size, np.nan)
+    k_hats = np.zeros(S, dtype=int)
+    alphas = np.full(S, np.nan)
+    bhats = np.full(S, np.nan)
+    kas = np.full(S, -1, dtype=int)
+    kbs = np.full(S, -1, dtype=int)
+    zraw = np.zeros((S, K + 1))
+    ztr = np.zeros((S, K + 1))
+    zsel = np.full(S, np.nan)
+    sizes = np.zeros((S, K + 1), dtype=int)
+    for i, (x_tail, fit_points) in enumerate(sites):
+        te, cvs, ests, k_hat = _select_site(sample, cfg, bgrid, x_tail, fit_points, counters)
+        if cfg.q is None:
+            value = ests[k_hat, 0]
+            if np.isnan(value):
+                # nearest fit that succeeded at a smaller bandwidth, if any
+                valid = np.flatnonzero(np.isfinite(ests[: k_hat + 1, 0]))
+                if valid.size:
+                    value = ests[valid[-1], 0]
+                    _bump(counters, "selected_estimate_missing")
+            values[i] = value
+        elif x is None and pts.size == sample.n and np.allclose(pts, fit_points, atol=1e-12):
+            values = ests[k_hat].copy()
+        else:
+            h = bgrid.bandwidths[k_hat]
+            values = np.array(
+                [_estimate_with_fallback(sample, xp, h, cfg.beta_star, counters) for xp in pts]
+            )
+        k_hats[i] = k_hat
+        if te is not None:
+            alphas[i] = 1.0 / te.inv_alpha
+            bhats[i] = te.b_hat
+            kas[i] = te.k_alpha
+            kbs[i] = te.k_b
+        zraw[i] = cvs.raw
+        ztr[i] = cvs.truncated
+        zsel[i] = cvs.truncated[k_hat]
+        sizes[i] = [window_indices(sample.n, x_tail, h).size for h in bgrid.bandwidths[: K + 1]]
+
+    trace = dict(k_hat=k_hats, alpha_hat=alphas, b_hat=bhats, k_alpha=kas, k_b=kbs,
+                 zeta_raw=zraw, zeta_truncated=ztr, zeta_at_k_hat=zsel, window_sizes=sizes)
+    if cfg.q is not None:
+        # one global selection: scalars and per-k vectors, not per-point arrays
+        trace = {name: v[0].item() if v.ndim == 1 else v[0] for name, v in trace.items()}
     diag = Diagnostics(
-        mode="lq",
+        mode="pointwise" if cfg.q is None else "lq",
         points=pts,
-        k_hat=int(k_hat),
-        alpha_hat=(1.0 / te.inv_alpha) if te is not None else np.nan,
-        b_hat=te.b_hat if te is not None else np.nan,
-        k_alpha=te.k_alpha if te is not None else -1,
-        k_b=te.k_b if te is not None else -1,
-        zeta_raw=cvs.raw,
-        zeta_truncated=cvs.truncated,
-        zeta_at_k_hat=float(cvs.truncated[k_hat]),
-        window_sizes=sizes,
         grid=bgrid,
         counters=counters,
         warnings=warn,
+        **trace,
     )
     return (float(values[0]) if x is not None else values), diag

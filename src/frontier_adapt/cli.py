@@ -128,6 +128,8 @@ def _read_xy_csv(path):
         vals = _floats(cells)
         if vals is None:
             raise ParseError(f"{path}: line {ln}: non-numeric value in {cells!r}")
+        if not all(math.isfinite(v) for v in vals):
+            raise ParseError(f"{path}: line {ln}: non-finite value in {cells!r}")
         if width == 2:
             xs.append(vals[0])
             ys.append(vals[1])
@@ -226,7 +228,6 @@ def _error_model_from_args(args) -> ErrorModel:
 def cmd_estimate(args) -> int:
     t0 = time.perf_counter()
     cfg = _build_config(args)
-    _resolve_threads(args)
     xs_in, ys = _read_xy_csv(args.input)
     if xs_in is not None:
         _check_equidistant(xs_in)
@@ -415,8 +416,6 @@ def cmd_rates(args) -> int:
 def _add_shared_flags(p):
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default: FRONTIER_ADAPT_THREADS or 1)")
     p.add_argument("--out", required=True, help="primary output path")
     p.add_argument("--beta-star", dest="beta_star", type=int, default=None)
     p.add_argument("--h0-exponent", dest="h0_exponent", type=float, default=None)
@@ -473,6 +472,8 @@ def _build_parser():
     p.add_argument("--beta", type=float, default=None, help="true smoothness for the theory line")
     p.add_argument("--risks-file", dest="risks_file", default=None,
                    help="CSV n,risk[,stderr]: fit the slope without simulating")
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker processes (default: FRONTIER_ADAPT_THREADS or 1)")
     p.set_defaults(func=cmd_rates)
     return parser
 

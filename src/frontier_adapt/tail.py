@@ -148,89 +148,64 @@ def per_k_inv_alphas(sample: Sample, x: float, grid, m_exponent: float,
     return invs, ms, windows
 
 
-def _first_violation(values, K, threshold_at):
-    """First k in 0..K-1 with |values[k+1] - values[l]| > threshold_at(k) for
-    some l <= k; K if none.  NaN entries never trigger a violation."""
+def first_drift(K: int, distance, threshold) -> int:
+    """First k in 0..K-1 with distance(k, l) > threshold(k, l) for some l <= k;
+    K when no such drift occurs.  A NaN distance never fires.
+
+    This is the comparison rule shared by the nested tail selectors and the
+    Lepski bandwidth selection (Lepski, Mammen & Spokoiny 1997): stop at the
+    first k whose next estimate drifts from an earlier one.
+    """
     for k in range(K):
-        nxt = values[k + 1]
-        if np.isnan(nxt):
-            continue
-        thr = threshold_at(k)
         for l in range(k + 1):
-            if not np.isnan(values[l]) and abs(nxt - values[l]) > thr:
+            if distance(k, l) > threshold(k, l):
                 return k
     return K
 
 
-def select_k_alpha(sample: Sample, x: float, grid, m_exponent: float,
-                   counters=None):
-    """Nested selector for the 1/alpha bandwidth index.
+def _nested_select(values, K, rho, scale, what, counters=None):
+    """Nested selector over per-k estimates values[0..K].
 
-    k_alpha = first k in 0..K-1 where the next estimate drifts from some
-    earlier one by more than rho^(-k) / log(n); K when no drift is seen.
-    Returns (k_alpha, inv_alpha at k_alpha), uncapped.
+    The index is the first drift of |values[k+1] - values[l]| beyond
+    rho^(-k) / scale.  A NaN estimate there is replaced by the nearest valid
+    one above it, else by the last valid one, and counted.  Returns
+    (k, value at k); raises DegenerateWindow when no estimate is valid.
     """
-    invs, _, _ = per_k_inv_alphas(sample, x, grid, m_exponent, counters)
-    return _select_alpha_index(invs, grid, counters)
-
-
-def _select_alpha_index(invs, grid, counters=None):
-    if np.all(np.isnan(invs)):
-        raise DegenerateWindow("no usable window for tail estimation")
-    logn = math.log(grid.n)
-    k_alpha = _first_violation(invs, grid.K, lambda k: grid.rho**(-k) / logn)
-    inv = invs[k_alpha]
-    if np.isnan(inv):
-        # prefer the nearest valid larger window, then smaller
-        valid = np.flatnonzero(~np.isnan(invs))
-        above = valid[valid > k_alpha]
-        inv = invs[above[0]] if above.size else invs[valid[-1]]
+    if np.all(np.isnan(values)):
+        raise DegenerateWindow(f"no usable window for {what}")
+    k = first_drift(K, lambda k, l: abs(values[k + 1] - values[l]),
+                    lambda k, l: rho**(-k) / scale)
+    value = values[k]
+    if np.isnan(value):
+        valid = np.flatnonzero(~np.isnan(values))
+        above = valid[valid > k]
+        value = values[above[0]] if above.size else values[valid[-1]]
         _bump(counters, "selected_estimate_missing")
-    return int(k_alpha), float(inv)
-
-
-def select_k_b(sample: Sample, x: float, grid, k_alpha: int, inv_alphas,
-               m_exponent: float, counters=None):
-    """Nested selector for the b bandwidth index, capped at k_alpha.
-
-    Mirrors select_k_alpha with threshold rho^(-k) / loglog(n) and per-k b
-    estimates built from the matching per-k 1/alpha values; scans
-    k = 0..k_alpha-1 and defaults to k_alpha when nothing drifts.
-    Returns (k_b, b_hat at k_b).
-    """
-    inv_alphas = np.asarray(inv_alphas, dtype=float)
-    bs = np.full(k_alpha + 1, np.nan)
-    for k in range(k_alpha + 1):
-        idx = window_indices(sample.n, x, grid.bandwidths[k])
-        w = sample.ys[idx]
-        if w.size < 3 or np.isnan(inv_alphas[k]):
-            continue
-        m = tail_m(w.size, m_exponent)
-        if m < 3:
-            continue
-        try:
-            bs[k] = estimate_b(w, m, inv_alphas[k], w.size, counters)
-        except DegenerateWindow:
-            _bump(counters, "tail_k_skipped")
-    if np.all(np.isnan(bs)):
-        raise DegenerateWindow("no usable window for the b estimator")
-    loglogn = math.log(math.log(grid.n))
-    k_b = _first_violation(bs, k_alpha, lambda k: grid.rho**(-k) / loglogn)
-    b = bs[k_b]
-    if np.isnan(b):
-        valid = np.flatnonzero(~np.isnan(bs))
-        above = valid[valid > k_b]
-        b = bs[above[0]] if above.size else bs[valid[-1]]
-        _bump(counters, "selected_estimate_missing")
-    return int(k_b), float(b)
+    return int(k), float(value)
 
 
 def estimate_tail_at(sample: Sample, x: float, grid, m_exponent: float,
                      counters=None) -> TailEstimate:
-    """Full tail-parameter estimation at a point over the bandwidth grid."""
-    invs, ms, _ = per_k_inv_alphas(sample, x, grid, m_exponent, counters)
-    k_alpha, inv_alpha = _select_alpha_index(invs, grid, counters)
-    k_b, b_hat = select_k_b(sample, x, grid, k_alpha, invs, m_exponent, counters)
+    """Full tail-parameter estimation at a point over the bandwidth grid.
+
+    k_alpha is the nested selection over the per-k 1/alpha estimates with
+    threshold rho^(-k) / log(n); k_b selects over k = 0..k_alpha among the b
+    estimates built from the matching window and 1/alpha, with threshold
+    rho^(-k) / loglog(n).
+    """
+    invs, ms, windows = per_k_inv_alphas(sample, x, grid, m_exponent, counters)
+    k_alpha, inv_alpha = _nested_select(invs, grid.K, grid.rho, math.log(grid.n),
+                                        "tail estimation", counters)
+    bs = np.full(k_alpha + 1, np.nan)
+    for k in range(k_alpha + 1):
+        if np.isnan(invs[k]):
+            continue
+        try:
+            bs[k] = estimate_b(windows[k], ms[k], invs[k], windows[k].size, counters)
+        except DegenerateWindow:
+            _bump(counters, "tail_k_skipped")
+    k_b, b_hat = _nested_select(bs, k_alpha, grid.rho, math.log(math.log(grid.n)),
+                                "the b estimator", counters)
     if inv_alpha > INV_ALPHA_CAP:
         _bump(counters, "inv_alpha_capped")
         inv_alpha = INV_ALPHA_CAP

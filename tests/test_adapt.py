@@ -176,6 +176,12 @@ def test_lepski_select_crafted_sequences():
     assert lepski_select(np.array([0.0, 0.1, 0.1, 0.1]), zeros) == 0
     # first pair within tolerance, k=1 violates against l=0
     assert lepski_select(np.array([0.0, 0.05, 0.5, 0.5]), zt) == 1
+    # a NaN distance never fires; an infinite one is skipped too, unlike in
+    # the tail selectors
+    assert lepski_select(np.array([0.0, np.nan, 0.1, 0.1]), zeros) == 1
+    with np.errstate(invalid="ignore"):
+        assert lepski_select(np.array([0.0, np.inf, 0.0, 0.0]), zeros) == 3
+        assert lepski_select(np.array([np.inf, -np.inf, np.inf, np.inf]), zeros) == 3
     with pytest.raises(ValueError):
         lepski_select(np.zeros(3), zt)
 
@@ -190,6 +196,11 @@ def test_lepski_select_lq_masks_nan():
     assert lepski_select(curves, zt, q=1.0) == 1
     all_nan = np.vstack([base, np.full(10, np.nan), np.full(10, np.nan)])
     assert lepski_select(all_nan, zt, q=1.0) == 2
+    # an overflowing L_q distance is skipped like an undefined one
+    huge = np.vstack([base, np.full(10, 1e200), np.full(10, 1e200)])
+    with np.errstate(over="ignore"):
+        assert lepski_select(huge, zt, q=2.0) == 2
+    assert lepski_select(huge, zt, q=1.0) == 0
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,6 +12,8 @@ import pytest
 
 from frontier_adapt.cli import main
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
 
 def _read_csv(path):
     with open(path, encoding="utf-8") as fh:
@@ -214,6 +216,41 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     assert rc == 2
 
 
+def test_threads_only_on_rates(tmp_path, monkeypatch):
+    data = tmp_path / "ok.csv"
+    rng = np.random.default_rng(1)
+    data.write_text("y\n" + "".join(f"{v}\n" for v in -rng.exponential(size=30)))
+    # estimation never reads the worker setting, so a bad value is no error
+    monkeypatch.setenv("FRONTIER_ADAPT_THREADS", "lots")
+    assert main(["estimate", str(data), "--out", str(tmp_path / "f.csv")]) == 0
+    for cmd in (["estimate", str(data)], ["tail", str(data)],
+                ["simulate", "--f", "f1", "--em", "negexp", "--n", "10"]):
+        with pytest.raises(SystemExit) as exc:
+            main(cmd + ["--threads", "2", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+
+
+def _run_cli(args, cwd):
+    pythonpath = filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
+    return subprocess.run(
+        [sys.executable, "-m", "frontier_adapt.cli", *args],
+        capture_output=True, text=True, timeout=120, env=env, cwd=cwd,
+    )
+
+
+@pytest.mark.parametrize("command", ["estimate", "tail"])
+@pytest.mark.parametrize("bad_row", ["0.1,nan", "0.1,inf", "0.1,-inf", "nan,-1.0"])
+def test_non_finite_cell_exits_3(tmp_path, command, bad_row):
+    rows = [f"{j / 10},-{j % 3 + 1}.5" for j in range(1, 11)]
+    rows[0] = bad_row
+    (tmp_path / "bad.csv").write_text("x,y\n" + "\n".join(rows) + "\n")
+    proc = _run_cli([command, "bad.csv", "--out", "out.json"], tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "line 2" in proc.stderr and "non-finite" in proc.stderr
+
+
 def test_rates_monte_carlo_with_worker_pool(tmp_path, monkeypatch):
     monkeypatch.setenv("FRONTIER_ADAPT_THREADS", "2")
     out = tmp_path / "rates.csv"
@@ -224,9 +261,6 @@ def test_rates_monte_carlo_with_worker_pool(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "rates.report.json").read_text())
     assert len(report["risks"]) == 3
     assert all(r > 0 for r in report["risks"])
-
-
-REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _declared_entry_point(name):

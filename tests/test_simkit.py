@@ -134,6 +134,14 @@ def test_mc_risk_noiseless_is_zero():
     assert risk <= 1e-12
 
 
+@pytest.mark.parametrize("target", [("point", 0.5), ("lq", 1.0)])
+def test_mc_risk_parallel_matches_serial_bitwise(target):
+    args = (builtin_f("f2"), ErrorModel("negexp"), EstimatorConfig(), 60, 5, target)
+    serial = mc_risk(*args, master_seed=3)
+    assert serial[0] > 0.0
+    assert mc_risk(*args, master_seed=3, threads=2) == serial
+
+
 def test_mc_risk_validation():
     f = builtin_f("const")
     em = ErrorModel("zero")

@@ -13,11 +13,11 @@ from frontier_adapt.local_poly import Sample
 from frontier_adapt.tail import (
     INV_ALPHA_CAP,
     TailFunction,
-    _first_violation,
-    _select_alpha_index,
+    _nested_select,
     a_hat,
     estimate_b,
     estimate_tail_at,
+    first_drift,
     neg_hill_inv_alpha,
     tail_m,
 )
@@ -132,36 +132,77 @@ def test_reflected_gamma_bands():
     assert -1.0 <= float(np.mean(bs)) <= 1.0
 
 
-def test_first_violation_crafted_sequences():
+def _k_alpha(invs, grid):
+    return _nested_select(invs, grid.K, grid.rho, math.log(grid.n), "tail estimation")[0]
+
+
+def test_first_drift_crafted_sequences():
     grid = _default_grid(1000)
-    logn = math.log(1000)
-    thr = lambda k: grid.rho ** (-k) / logn  # noqa: E731
     K = 5
-    assert _first_violation(np.full(K + 1, 0.5), K, thr) == K
-    assert _first_violation(np.array([0.5, 0.8, 0.8, 0.8, 0.8, 0.8]), K, thr) == 0
+    assert grid.K == K
+    assert _k_alpha(np.full(K + 1, 0.5), grid) == K
+    assert _k_alpha(np.array([0.5, 0.8, 0.8, 0.8, 0.8, 0.8]), grid) == 0
     # drift below threshold at k=0, violation against l=0 at k=1
-    assert _first_violation(np.array([0.5, 0.55, 0.8, 0.8, 0.8, 0.8]), K, thr) == 1
+    assert _k_alpha(np.array([0.5, 0.55, 0.8, 0.8, 0.8, 0.8]), grid) == 1
     # NaN entries are skipped, never treated as violations
-    assert _first_violation(np.array([0.5, np.nan, 0.5, 0.5, 0.5, 0.5]), K, thr) == K
+    assert _k_alpha(np.array([0.5, np.nan, 0.5, 0.5, 0.5, 0.5]), grid) == K
+    # an infinite estimate drifts from every finite one; two infinite ones
+    # differ by NaN and never fire
+    with np.errstate(invalid="ignore"):
+        assert _k_alpha(np.array([0.5, 0.5, np.inf, 0.5, 0.5, 0.5]), grid) == 1
+        assert _k_alpha(np.array([np.inf, np.inf, 0.5, 0.5, 0.5, 0.5]), grid) == 1
+        assert _k_alpha(np.full(K + 1, -np.inf), grid) == K
+
+
+def test_first_drift_rule():
+    vals = np.array([0.0, 0.1, 0.3, 2.0])
+
+    def distance(k, l):
+        return abs(vals[k + 1] - vals[l])
+
+    assert first_drift(3, distance, lambda k, l: 1.0) == 2
+    # the threshold may depend on both indices: (k=1, l=0) is the first pair over
+    assert first_drift(3, distance, lambda k, l: 0.25 if l == 0 else 1.0) == 1
+    assert first_drift(3, distance, lambda k, l: np.inf) == 3
+    assert first_drift(0, distance, lambda k, l: 0.0) == 0
+    assert first_drift(3, lambda k, l: np.nan, lambda k, l: 0.0) == 3
+    assert first_drift(3, lambda k, l: np.inf, lambda k, l: 0.0) == 0
 
 
 def test_select_alpha_index_handles_nan_at_selection():
     grid = _default_grid(1000)
     invs = np.full(grid.K + 1, np.nan)
-    with pytest.raises(DegenerateWindow):
-        _select_alpha_index(invs, grid)
+    with pytest.raises(DegenerateWindow, match="no usable window for tail estimation"):
+        _k_alpha(invs, grid)
     invs = np.array([np.nan, 0.5] + [0.5] * (grid.K - 1))
-    k, v = _select_alpha_index(invs, grid)
+    counters = {}
+    k, v = _nested_select(invs, grid.K, grid.rho, math.log(grid.n), "x", counters)
     assert v == 0.5 and 0 <= k <= grid.K
+    assert counters == {}
+    # NaN at the selected index: the nearest valid estimate above it, counted
+    invs = np.array([0.5, np.nan, 5.0, 0.7, 0.7, np.nan])
+    k, v = _nested_select(invs, grid.K, grid.rho, math.log(grid.n), "x", counters)
+    assert (k, v) == (1, 5.0)
+    assert counters == {"selected_estimate_missing": 1}
+    # none valid above it: the last valid one
+    invs = np.array([0.5, 0.5, 0.5, 0.5, 0.5, np.nan])
+    k, v = _nested_select(invs, grid.K, grid.rho, math.log(grid.n), "x", counters)
+    assert (k, v) == (grid.K, 0.5)
+    assert counters == {"selected_estimate_missing": 2}
 
 
 def test_b_selector_scan_semantics():
     # constant per-k values never violate, so the scan returns its cap
     grid = _default_grid(2000)
-    thr = lambda k: grid.rho ** (-k) / math.log(math.log(2000))  # noqa: E731
+    loglogn = math.log(math.log(2000))
     k_alpha = 3
-    assert _first_violation(np.full(k_alpha + 1, 0.2), k_alpha, thr) == k_alpha
-    assert _first_violation(np.array([0.2, 5.0, 5.0, 5.0]), k_alpha, thr) == 0
+    k_b, b = _nested_select(np.full(k_alpha + 1, 0.2), k_alpha, grid.rho, loglogn, "b")
+    assert (k_b, b) == (k_alpha, 0.2)
+    k_b, _ = _nested_select(np.array([0.2, 5.0, 5.0, 5.0]), k_alpha, grid.rho, loglogn, "b")
+    assert k_b == 0
+    with pytest.raises(DegenerateWindow, match="no usable window for the b estimator"):
+        _nested_select(np.full(k_alpha + 1, np.nan), k_alpha, grid.rho, loglogn,
+                       "the b estimator")
 
 
 def test_pipeline_finite_on_21_point_grid():
