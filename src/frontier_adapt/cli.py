@@ -90,11 +90,13 @@ def _resolve_threads(args) -> int:
     return 1
 
 
-def _read_xy_csv(path):
-    """Sample CSV: columns (x, y), or a single y column with x implied as j/n.
+def _read_table(path, headers):
+    """Rows of a numeric CSV whose columns are one of ``headers`` (name tuples).
 
-    A header row is required when columns are named; a purely numeric first
-    row means no header.  Returns (xs or None, ys)."""
+    Blank rows are skipped.  A non-numeric first row is a header and must
+    name the columns (case-insensitive); without one, the first row's width
+    picks the columns and every later row must have that width.  Every cell
+    must be a finite number.  Returns (columns, [(line, values), ...])."""
     if not os.path.exists(path):
         raise FileNotFoundError(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -110,34 +112,42 @@ def _read_xy_csv(path):
             return None
 
     first_ln, first = rows[0]
-    start = 0
     if _floats(first) is None:
-        names = [c.lower() for c in first]
-        if names not in (["x", "y"], ["y"]):
-            raise ParseError(f"{path}: line {first_ln}: header must be 'x,y' or 'y', got {first!r}")
-        width = len(names)
-        start = 1
+        names = tuple(c.lower() for c in first)
+        if names not in headers:
+            allowed = " or ".join(repr(",".join(h)) for h in headers)
+            raise ParseError(f"{path}: line {first_ln}: header must be {allowed}, got {first!r}")
+        rows = rows[1:]
     else:
-        width = len(first)
-        if width not in (1, 2):
-            raise ParseError(f"{path}: line {first_ln}: expected 1 or 2 columns, got {width}")
-    xs, ys = [], []
-    for ln, cells in rows[start:]:
-        if len(cells) != width:
-            raise ParseError(f"{path}: line {ln}: expected {width} columns, got {len(cells)}")
+        by_width = {len(h): h for h in headers}
+        names = by_width.get(len(first))
+        if names is None:
+            allowed = " or ".join(map(str, sorted(by_width)))
+            raise ParseError(f"{path}: line {first_ln}: expected {allowed} columns, got {len(first)}")
+    table = []
+    for ln, cells in rows:
+        if len(cells) != len(names):
+            raise ParseError(f"{path}: line {ln}: expected {len(names)} columns, got {len(cells)}")
         vals = _floats(cells)
         if vals is None:
             raise ParseError(f"{path}: line {ln}: non-numeric value in {cells!r}")
         if not all(math.isfinite(v) for v in vals):
             raise ParseError(f"{path}: line {ln}: non-finite value in {cells!r}")
-        if width == 2:
-            xs.append(vals[0])
-            ys.append(vals[1])
-        else:
-            ys.append(vals[0])
-    if len(ys) < 2:
+        table.append((ln, vals))
+    return names, table
+
+
+def _load_sample(path):
+    """Sample CSV: columns x,y (equidistant x) or a single y column, with x
+    implied as j/n.  Returns (xs or None, Sample)."""
+    names, table = _read_table(path, (("x", "y"), ("y",)))
+    if len(table) < 2:
         raise ParseError(f"{path}: need at least 2 data rows")
-    return (np.asarray(xs) if width == 2 else None), np.asarray(ys)
+    xs = None
+    if names == ("x", "y"):
+        xs = np.asarray([vals[0] for _, vals in table])
+        _check_equidistant(xs)
+    return xs, Sample(np.asarray([vals[-1] for _, vals in table]))
 
 
 def _check_equidistant(xs):
@@ -228,10 +238,7 @@ def _error_model_from_args(args) -> ErrorModel:
 def cmd_estimate(args) -> int:
     t0 = time.perf_counter()
     cfg = _build_config(args)
-    xs_in, ys = _read_xy_csv(args.input)
-    if xs_in is not None:
-        _check_equidistant(xs_in)
-    sample = Sample(ys)
+    xs_in, sample = _load_sample(args.input)
     pts = sample.xs()
     values, diag = adaptive_estimate(sample, cfg, grid=pts)
     x_out = xs_in if xs_in is not None else pts
@@ -290,10 +297,7 @@ def cmd_simulate(args) -> int:
 def cmd_tail(args) -> int:
     t0 = time.perf_counter()
     cfg = _build_config(args)
-    xs_in, ys = _read_xy_csv(args.input)
-    if xs_in is not None:
-        _check_equidistant(xs_in)
-    sample = Sample(ys)
+    _, sample = _load_sample(args.input)
     grid = build_grid(sample.n, cfg.h0_exponent, cfg.rho)
     counters: dict = {}
     te = estimate_tail_at(sample, args.x, grid, cfg.m_exponent, counters)
@@ -343,25 +347,13 @@ def _parse_n_list(text):
 
 
 def _read_risks_file(path):
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    ns, risks, errs = [], [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for ln, row in enumerate(csv.reader(fh), start=1):
-            cells = [c.strip() for c in row]
-            if not any(cells):
-                continue
-            try:
-                vals = [float(c) for c in cells]
-            except ValueError:
-                if ln == 1:
-                    continue  # header row
-                raise ParseError(f"{path}: line {ln}: non-numeric value")
-            if len(vals) not in (2, 3):
-                raise ParseError(f"{path}: line {ln}: expected n,risk[,stderr]")
-            ns.append(int(vals[0]))
-            risks.append(vals[1])
-            errs.append(vals[2] if len(vals) == 3 else 0.0)
+    _, table = _read_table(path, (("n", "risk"), ("n", "risk", "stderr")))
+    for ln, vals in table:
+        if vals[0] < 1 or not vals[0].is_integer():
+            raise ParseError(f"{path}: line {ln}: n must be a positive integer, got {vals[0]!r}")
+    ns = [int(vals[0]) for _, vals in table]
+    risks = [vals[1] for _, vals in table]
+    errs = [vals[2] if len(vals) == 3 else 0.0 for _, vals in table]
     return ns, risks, errs
 
 

@@ -85,12 +85,16 @@ def fit_local(sample: Sample, x: float, h: float, degree: int) -> PolyFit:
     t /= h
     yw = sample.ys[idx]
     shift = yw.max()
+    rhs = yw - shift
+    if not np.isfinite(rhs).all():
+        # finite responses whose spread overflows, e.g. 1e308 and -1e308
+        raise NumericalBreakdown(f"shifted responses at x={x} with h={h} overflow")
 
     powers = np.vander(t, degree + 1, increasing=True)
     lp = LinearProgram(
         objective=powers.sum(axis=0),
         constraint_matrix=powers,
-        constraint_rhs=yw - shift,
+        constraint_rhs=rhs,
     )
     sol = solve_lp(lp)
     if sol.status != OPTIMAL:

@@ -89,6 +89,17 @@ class LpSolution:
     iterations: int
 
 
+def _pivot(T, basis, row, col):
+    """Pivot T in place on (row, col): col enters the basis at row."""
+    T[row] /= T[row, col]
+    colvals = T[:, col].copy()
+    colvals[row] = 0.0
+    T -= np.outer(colvals, T[row])
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+    basis[row] = col
+
+
 def _run_simplex(T, basis, n_enterable, tol_rc):
     """Primal simplex on a standard-form tableau.
 
@@ -139,13 +150,7 @@ def _run_simplex(T, basis, n_enterable, tol_rc):
         piv = T[leave, j]
         if abs(piv) < PIVOT_TOL:
             raise NumericalBreakdown(f"pivot magnitude {piv!r} below {PIVOT_TOL}")
-        T[leave] /= piv
-        colvals = T[:, j].copy()
-        colvals[leave] = 0.0
-        T -= np.outer(colvals, T[leave])
-        T[:, j] = 0.0
-        T[leave, j] = 1.0
-        basis[leave] = j
+        _pivot(T, basis, leave, j)
         pivots += 1
         if pivots > max_pivots:
             raise NumericalBreakdown("simplex pivot limit exceeded")
@@ -182,13 +187,7 @@ def _solve_via_dual(A, r, c):
         row = T[i, :m]
         j = int(np.argmax(np.abs(row)))
         if abs(row[j]) > PIVOT_TOL:
-            T[i] /= T[i, j]
-            colvals = T[:, j].copy()
-            colvals[i] = 0.0
-            T -= np.outer(colvals, T[i])
-            T[:, j] = 0.0
-            T[i, j] = 1.0
-            basis[i] = j
+            _pivot(T, basis, i, j)
             pivots += 1
         else:
             T[i, :m][np.abs(row) <= PIVOT_TOL] = 0.0

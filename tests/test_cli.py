@@ -147,6 +147,15 @@ def test_rates_risks_file_passthrough(tmp_path):
     assert report["n_values"] == ns
     header, rows = _read_csv(out)
     assert header == ["n", "risk", "stderr"] and len(rows) == 4
+    # a headerless file, and rates.csv fed back as n,risk,stderr, fit the same slope
+    bare = tmp_path / "bare.csv"
+    bare.write_text("".join(f"{n},{5.0 / n}\n" for n in ns))
+    for src, name in ((bare, "bare_out"), (out, "refit")):
+        dest = tmp_path / f"{name}.csv"
+        assert main(["rates", "--risks-file", str(src), "--out", str(dest)]) == 0
+        again = json.loads((tmp_path / f"{name}.report.json").read_text())
+        assert again["slope"] == report["slope"] and again["n_values"] == ns
+        assert dest.read_bytes() == out.read_bytes()
 
 
 def test_rates_theory_exponent_in_report(tmp_path):
@@ -230,25 +239,55 @@ def test_threads_only_on_rates(tmp_path, monkeypatch):
         assert exc.value.code == 2
 
 
-def _run_cli(args, cwd):
+def _source_env():
+    """Environment that imports frontier_adapt from src/, ahead of any install."""
     pythonpath = filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
+
+
+def _run_cli(args, cwd):
     return subprocess.run(
         [sys.executable, "-m", "frontier_adapt.cli", *args],
-        capture_output=True, text=True, timeout=120, env=env, cwd=cwd,
+        capture_output=True, text=True, timeout=120, env=_source_env(), cwd=cwd,
     )
 
 
-@pytest.mark.parametrize("command", ["estimate", "tail"])
-@pytest.mark.parametrize("bad_row", ["0.1,nan", "0.1,inf", "0.1,-inf", "nan,-1.0"])
-def test_non_finite_cell_exits_3(tmp_path, command, bad_row):
-    rows = [f"{j / 10},-{j % 3 + 1}.5" for j in range(1, 11)]
+_NON_FINITE_CASES = (
+    [(cmd, row, "non-finite") for cmd in ("estimate", "tail")
+     for row in ("0.1,nan", "0.1,inf", "0.1,-inf", "nan,-1.0")]
+    + [("rates", row, "non-finite") for row in ("nan,0.1", "inf,0.1", "200,nan", "200,inf")]
+    + [("rates", "200.5,0.1", "positive integer")]
+)
+
+
+@pytest.mark.parametrize(
+    "command, bad_row, reason",
+    [pytest.param(*case, id=f"{case[1]}-{case[0]}") for case in _NON_FINITE_CASES],
+)
+def test_non_finite_cell_exits_3(tmp_path, command, bad_row, reason):
+    if command == "rates":
+        header, rows, argv = "n,risk", ["100,0.1", "200,0.05", "400,0.025"], ["--risks-file"]
+    else:
+        header, rows, argv = "x,y", [f"{j / 10},-{j % 3 + 1}.5" for j in range(1, 11)], []
     rows[0] = bad_row
-    (tmp_path / "bad.csv").write_text("x,y\n" + "\n".join(rows) + "\n")
-    proc = _run_cli([command, "bad.csv", "--out", "out.json"], tmp_path)
+    (tmp_path / "bad.csv").write_text(header + "\n" + "\n".join(rows) + "\n")
+    proc = _run_cli([command, *argv, "bad.csv", "--out", "out.csv"], tmp_path)
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert "line 2" in proc.stderr and "non-finite" in proc.stderr
+    assert "line 2" in proc.stderr and reason in proc.stderr
+
+
+def test_overflowing_sample_gives_counted_nan(tmp_path):
+    (tmp_path / "big.csv").write_text("1e308\n-1e308\n0\n-1\n")
+    for extra in ([], ["--q", "1"]):
+        proc = _run_cli(["estimate", "big.csv", *extra, "--out", "fit.csv"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        _, rows = _read_csv(tmp_path / "fit.csv")
+        nans = sum(r[1] == "nan" for r in rows)
+        counters = json.loads((tmp_path / "fit.diagnostics.json").read_text())["counters"]
+        assert nans > 0 and counters.get("lp_failures", 0) > 0
+        assert nans <= counters.get("window_too_small", 0) + counters["lp_failures"]
 
 
 def test_rates_monte_carlo_with_worker_pool(tmp_path, monkeypatch):
@@ -281,17 +320,24 @@ def test_console_script_help():
         f"import sys; from {module} import {attr} as f; "
         "sys.argv[0] = 'frontier-adapt'; sys.exit(f())"
     )
-    pythonpath = filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(pythonpath))
     proc = subprocess.run(
         [sys.executable, "-c", wrapper, "--help"],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=60, env=_source_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout.splitlines()[0].startswith("usage: frontier-adapt")
     for sub in ("estimate", "simulate", "tail", "rates"):
         assert sub in proc.stdout
+
+
+def test_calibrate_script_help():
+    proc = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "calibrate_defaults.py"), "--help"],
+        capture_output=True, text=True, timeout=60, env=_source_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 @pytest.mark.skipif(

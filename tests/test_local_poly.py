@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frontier_adapt.errors import WindowTooSmall
+from frontier_adapt.errors import NumericalBreakdown, WindowTooSmall
 from frontier_adapt.local_poly import (
     Sample,
     estimate_at,
@@ -163,6 +163,13 @@ def test_fit_argument_validation():
         Sample([1.0])
     with pytest.raises(ValueError):
         Sample([1.0, np.nan])
+
+
+def test_overflowing_response_spread_is_numerical_breakdown():
+    # every response is finite, but y - max(y) overflows to -inf
+    sample = Sample([1e308, -1e308, 0.0, -1.0])
+    with pytest.raises(NumericalBreakdown):
+        fit_local(sample, 0.5, 0.5, 1)
 
 
 def test_estimate_curve_nan_and_empty():
