@@ -1,9 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frontier_adapt import LinearProgram, solve_lp
+from frontier_adapt import lp as lp_module
+from frontier_adapt.errors import NumericalBreakdown
 from frontier_adapt.lp import INFEASIBLE, OPTIMAL, UNBOUNDED
 
 from _oracles import random_bounded_lp, vertex_enum_min
@@ -165,3 +169,94 @@ def test_degenerate_phase_one_artificial_left_basic():
     assert sol.status == OPTIMAL
     assert sol.objective_value == pytest.approx(-1.0, abs=1e-12)
     assert np.all(lp.constraint_matrix @ sol.variables >= lp.constraint_rhs - 1e-9)
+
+
+# Beale's cycling example (min c.x, Ax = b, x >= 0) as a solve_lp instance:
+# the solver's dual tableau is A' lam = c, so the example's columns become
+# rows.  This row order makes Dantzig pricing stall past _STALL_LIMIT.
+_BEALE = np.array(
+    [
+        [1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0, 0.0],
+        [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0],
+        [0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0, 0.0],
+    ]
+)
+_BEALE_ROWS = [5, 6, 2, 3, 0, 1, 4]
+
+
+def _envelope_lp(t, y, degree):
+    """The LP fit_local builds: shifted responses above a power basis in t."""
+    powers = np.vander(t, degree + 1, increasing=True)
+    return LinearProgram(powers.sum(axis=0), powers, y - y.max())
+
+
+def _golden_lps():
+    """Seeded envelope LPs for degree 0..4 and m = d+2..2000, plus
+    duplicated rows, near-tied ratios and the stalling Beale instance."""
+    rng = np.random.default_rng(20261018)
+    lps = []
+    for degree in range(5):
+        for m in (degree + 2, degree + 3, 17, 160, 2000):
+            t = np.linspace(-1.0, 1.0, m)
+            trend = np.polynomial.polynomial.polyval(t, rng.normal(size=degree + 1))
+            y = trend - rng.exponential(size=m) ** 2
+            lps.append(_envelope_lp(t, y, degree))
+            # every third row repeated: duplicate constraints tie exactly
+            dup = np.repeat(np.arange(m), np.where(np.arange(m) % 3 == 0, 2, 1))
+            lps.append(_envelope_lp(t[dup], y[dup], degree))
+            # responses on a polynomial up to 1e-13: ratios tie within the band
+            y_tied = trend - 1e-13 * rng.random(m) * (rng.random(m) < 0.5)
+            lps.append(_envelope_lp(t, y_tied, degree))
+    beale_a = _BEALE[:3, :7].T[_BEALE_ROWS]
+    lps.append(LinearProgram(_BEALE[:3, 7], beale_a, -_BEALE[3, :7][_BEALE_ROWS]))
+    return lps
+
+
+def _digest(solutions):
+    h = hashlib.sha256()
+    for sol in solutions:
+        h.update(np.asarray(sol.variables, dtype=float).tobytes())
+        h.update(np.float64(sol.objective_value).tobytes())
+        h.update(sol.status.encode())
+        h.update(int(sol.iterations).to_bytes(8, "little"))
+    return h.hexdigest()
+
+
+# Pins every bit of every vertex, objective, status and pivot count on the
+# golden set.  A pure speed change to the solver must leave it unchanged; a
+# different BLAS may round the solver's dot products differently.
+GOLDEN_DIGEST = "c509c74f252eb579d6975ef194137181fc962fa142003e78ebd19979de6f4584"
+
+
+def test_golden_solve_lp_digest():
+    assert _digest([solve_lp(lp) for lp in _golden_lps()]) == GOLDEN_DIGEST
+
+
+def test_golden_set_trips_bland_switch(monkeypatch):
+    beale = _golden_lps()[-1]
+    sol = solve_lp(beale)
+    assert sol.status == OPTIMAL and sol.iterations > lp_module._STALL_LIMIT
+    # without the switch to Bland's rule Dantzig pricing cycles to the limit
+    monkeypatch.setattr(lp_module, "_STALL_LIMIT", 10**9)
+    with pytest.raises(NumericalBreakdown, match="pivot limit"):
+        solve_lp(beale)
+
+
+def test_run_simplex_cycling_tableau_switches_to_bland():
+    T = _BEALE.copy()
+    basis = np.arange(3)
+    status, pivots = lp_module._run_simplex(T, basis, 7, 1e-9)
+    assert status == OPTIMAL and pivots > lp_module._STALL_LIMIT
+    assert T[-1, -1] == pytest.approx(1.25, abs=1e-12)  # minus the optimum -5/4
+
+
+def test_run_simplex_all_pivots_below_tol_breaks_down():
+    T = np.array([[1e-13, 1.0], [-1.0, 2.0], [-1.0, 0.0]])
+    with pytest.raises(NumericalBreakdown, match="below"):
+        lp_module._run_simplex(T, np.array([1, 2]), 1, 1e-9)
+
+
+def test_run_simplex_unbounded_column():
+    T = np.array([[-1.0, 1.0], [0.0, 2.0], [-1.0, 0.0]])
+    assert lp_module._run_simplex(T, np.array([1, 2]), 1, 1e-9) == (UNBOUNDED, 0)
