@@ -15,7 +15,6 @@ import warnings as _warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .errors import DegenerateWindow, DomainError, InvalidConfig, NumericalBreakdown, WindowTooSmall
 from .local_poly import Sample, estimate_at, window_indices
@@ -145,6 +144,10 @@ def iu_n(s: float, q: float, tail, n: int, tol: float = 1e-8) -> float:
     The upper clip at s/e^2 keeps log(s/y) >= 2; an empty clipped domain
     raises DomainError (callers treat the corresponding zeta as 1).
     """
+    # imported here: scipy.integrate is most of the package's import time,
+    # and only L_q selection needs it
+    from scipy.integrate import IntegrationWarning, quad
+
     if s <= 0.0:
         raise DomainError("s must be positive")
     if q < 1.0:

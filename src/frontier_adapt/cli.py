@@ -38,7 +38,16 @@ from .errors import (
     UnknownName,
 )
 from .local_poly import Sample
-from .simkit import ERROR_KINDS, ErrorModel, alpha_profile, builtin_f, gen_sample, mc_risk, rate_fit
+from .simkit import (
+    ERROR_KINDS,
+    ErrorModel,
+    alpha_profile,
+    builtin_f,
+    check_target,
+    gen_sample,
+    mc_risk,
+    rate_fit,
+)
 from .tail import TailFunction, a_hat, estimate_tail_at
 
 _CFG_FIELDS = {f.name for f in fields(EstimatorConfig)}
@@ -333,7 +342,9 @@ def _parse_target(text):
         value = float(parts[1])
     except ValueError as exc:
         raise InvalidConfig(f"bad target value {parts[1]!r}") from exc
-    return (parts[0], value)
+    target = (parts[0], value)
+    check_target(target)
+    return target
 
 
 def _parse_n_list(text):

@@ -16,6 +16,8 @@ import numpy as np
 from .errors import NumericalBreakdown, WindowTooSmall
 from .lp import OPTIMAL, LinearProgram, solve_lp
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class Sample:
@@ -37,6 +39,15 @@ class Sample:
 
     def xs(self) -> np.ndarray:
         return np.arange(1, self.n + 1) / self.n
+
+
+def spread_overflows(top: float, bottom: float) -> bool:
+    """True when top - bottom (top >= bottom, both finite) may overflow.
+
+    Tested without subtracting the two, so no overflow warning is raised;
+    only spreads within an ulp of the largest float are flagged needlessly.
+    """
+    return top > 0.0 > bottom and bottom <= top - _FLOAT_MAX
 
 
 def window_indices(n: int, x: float, h: float) -> np.ndarray:
@@ -85,12 +96,16 @@ def fit_local(sample: Sample, x: float, h: float, degree: int) -> PolyFit:
     t /= h
     yw = sample.ys[idx]
     shift = yw.max()
-    rhs = yw - shift
-    if not np.isfinite(rhs).all():
-        # finite responses whose spread overflows, e.g. 1e308 and -1e308
+    if spread_overflows(shift, yw.min()):
+        # finite responses such as 1e308 and -1e308
         raise NumericalBreakdown(f"shifted responses at x={x} with h={h} overflow")
+    rhs = yw - shift
 
-    powers = np.vander(t, degree + 1, increasing=True)
+    # np.vander(t, degree + 1, increasing=True) without its wrapper cost
+    powers = np.empty((meff, degree + 1))
+    powers[:, 0] = 1.0
+    powers[:, 1:] = t[:, None]
+    np.multiply.accumulate(powers[:, 1:], axis=1, out=powers[:, 1:])
     lp = LinearProgram(
         objective=powers.sum(axis=0),
         constraint_matrix=powers,

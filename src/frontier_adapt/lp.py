@@ -27,10 +27,16 @@ reruns the machinery with c = 0.  Pricing is Dantzig's (most negative
 reduced cost) for speed; after a run of degenerate pivots the rule switches
 to Bland's, which cannot cycle, so termination is guaranteed.  All
 tie-breaks are by lowest index, so identical inputs give identical vertices.
+
+The cost of a solve is Python overhead per pivot, not arithmetic: the
+tableau has only d+2 rows.  So pricing is one NumPy argmin over the
+reduced-cost row, and the ratio test runs in plain Python floats over the
+d+1 constraint rows, with the same IEEE divisions NumPy would do.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +100,7 @@ def _pivot(T, basis, row, col):
     T[row] /= T[row, col]
     colvals = T[:, col].copy()
     colvals[row] = 0.0
-    T -= np.outer(colvals, T[row])
+    T -= colvals[:, None] * T[row]
     T[:, col] = 0.0
     T[row, col] = 1.0
     basis[row] = col
@@ -108,46 +114,62 @@ def _run_simplex(T, basis, n_enterable, tol_rc):
     from entering (used to lock out artificials in phase 2).  Entering
     columns are priced by most negative reduced cost; _STALL_LIMIT
     consecutive degenerate pivots switch the rule to Bland's for the rest of
-    the run, which rules out cycling.  Returns (status, pivot_count);
-    mutates T and basis in place.
+    the run, which rules out cycling.  A NaN ratio raises NumericalBreakdown.
+    Returns (status, pivot_count); mutates T and basis in place.
     """
     nrows = T.shape[0] - 1
     max_pivots = _MAX_PIVOT_FACTOR * (T.shape[1] + nrows)
+    rc = T[-1, :n_enterable]
+    rhs_col = T[:nrows, -1]
     pivots = 0
     bland = False
     stall = 0
     while True:
-        rc = T[-1, :n_enterable]
         if bland:
             entering = np.flatnonzero(rc < -tol_rc)
             if entering.size == 0:
                 return OPTIMAL, pivots
             j = int(entering[0])
         else:
-            j = int(np.argmin(rc))
+            j = int(rc.argmin())
             if rc[j] >= -tol_rc:
                 return OPTIMAL, pivots
-        col = T[:nrows, j]
-        rhs = T[:nrows, -1]
-        pos = col > PIVOT_TOL
-        if not pos.any():
-            if (col > 0.0).any():
+        col = T[:nrows, j].tolist()
+        rhs = rhs_col.tolist()
+        # ratios of the rows with a pivot above PIVOT_TOL; the others stay inf
+        ratios = [math.inf] * nrows
+        rmin = math.inf
+        has_pos = has_nan = False
+        for i, a in enumerate(col):
+            if a > PIVOT_TOL:
+                ratio = rhs[i] / a
+                ratios[i] = ratio
+                has_pos = True
+                if ratio < rmin:
+                    rmin = ratio
+                elif ratio != ratio:
+                    has_nan = True
+        if not has_pos:
+            if any(a > 0.0 for a in col):
                 raise NumericalBreakdown(
                     f"all pivot candidates in column {j} are below {PIVOT_TOL}"
                 )
             return UNBOUNDED, pivots
-        ratios = np.full(nrows, np.inf)
-        np.divide(rhs, col, out=ratios, where=pos)
-        rmin = ratios[pos].min()
-        tied = np.flatnonzero(ratios <= rmin + 1e-9 * (1.0 + abs(rmin)))
-        leave = int(tied[np.argmin(basis[tied])])
+        band = rmin + 1e-9 * (1.0 + abs(rmin))
+        leave = -1
+        if not has_nan:
+            for i, ratio in enumerate(ratios):
+                if ratio <= band and (leave < 0 or basis[i] < basis[leave]):
+                    leave = i
+        if leave < 0:
+            raise NumericalBreakdown(f"ratio test in column {j} met a NaN or -inf ratio")
         if rmin <= 0.0:
             stall += 1
             if stall > _STALL_LIMIT:
                 bland = True
         else:
             stall = 0
-        piv = T[leave, j]
+        piv = col[leave]
         if abs(piv) < PIVOT_TOL:
             raise NumericalBreakdown(f"pivot magnitude {piv!r} below {PIVOT_TOL}")
         _pivot(T, basis, leave, j)
@@ -162,19 +184,21 @@ def _solve_via_dual(A, r, c):
     sign = np.where(c < 0.0, -1.0, 1.0)
     ncols = m + nv
     T = np.zeros((nv + 1, ncols + 1))
-    T[:nv, :m] = A.T * sign[:, None]
-    T[:nv, m:ncols] = np.eye(nv)
-    T[:nv, -1] = np.abs(c)
+    np.multiply(A.T, sign[:, None], out=T[:nv, :m])
+    T.ravel()[m : nv * (ncols + 2) : ncols + 2] = 1.0  # identity on the artificials
+    abs_c = np.abs(c)
+    T[:nv, -1] = abs_c
+    cscale = max(1.0, abs_c.max())
     basis = np.arange(m, ncols)
 
     # phase 1: drive the artificial sum to zero
     T[-1, m:ncols] = 1.0
     T[-1] -= T[:nv].sum(axis=0)
-    status, p1 = _run_simplex(T, basis, ncols, 1e-9 * max(1.0, np.abs(c).max()))
+    status, p1 = _run_simplex(T, basis, ncols, 1e-9 * cscale)
     pivots = p1
     if status != OPTIMAL:
         raise NumericalBreakdown("phase 1 terminated unbounded")
-    if -T[-1, -1] > 1e-7 * max(1.0, np.abs(c).max()):
+    if -T[-1, -1] > 1e-7 * cscale:
         return "dual_infeasible", None, np.nan, pivots
 
     # drive zero-level artificials out of the basis: left in, they corrupt
@@ -220,15 +244,13 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     nv = lp.n_variables
 
     status, b, dual_value, pivots = _solve_via_dual(A, r, c)
-    nanvars = np.full(nv, np.nan)
     if status == "dual_unbounded":
-        return LpSolution(nanvars, np.nan, INFEASIBLE, pivots)
+        return LpSolution(np.full(nv, np.nan), np.nan, INFEASIBLE, pivots)
     if status == "dual_infeasible":
         probe_status, _, _, probe_pivots = _solve_via_dual(A, r, np.zeros(nv))
         pivots += probe_pivots
-        if probe_status == "dual_unbounded":
-            return LpSolution(nanvars, np.nan, INFEASIBLE, pivots)
-        return LpSolution(nanvars, np.nan, UNBOUNDED, pivots)
+        status = INFEASIBLE if probe_status == "dual_unbounded" else UNBOUNDED
+        return LpSolution(np.full(nv, np.nan), np.nan, status, pivots)
 
     # certificate: feasibility relative to row scale, and no duality gap
     slack = A @ b - r

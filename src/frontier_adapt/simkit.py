@@ -168,8 +168,22 @@ def _replicate_loss(args):
         if not np.all(np.isfinite(values)):
             return None
         return float(np.mean(np.abs(values - np.asarray(f(xs))) ** q))
+    except InvalidConfig:
+        raise
     except FrontierAdaptError:
         return None
+
+
+def check_target(target):
+    """Raise InvalidConfig unless target is ("point", x0) with x0 in (0, 1]
+    or ("lq", q) with q >= 1."""
+    if not (isinstance(target, tuple) and len(target) == 2 and target[0] in ("point", "lq")):
+        raise InvalidConfig('target must be ("point", x0) or ("lq", q)')
+    kind, value = target
+    if kind == "point" and not 0.0 < value <= 1.0:
+        raise InvalidConfig(f"target point must lie in (0, 1], got {value!r}")
+    if kind == "lq" and not value >= 1.0:
+        raise InvalidConfig(f"target q must be >= 1, got {value!r}")
 
 
 def mc_risk(f, em: ErrorModel, cfg: EstimatorConfig, n: int, reps: int, target, master_seed, threads: int = 1):
@@ -182,8 +196,7 @@ def mc_risk(f, em: ErrorModel, cfg: EstimatorConfig, n: int, reps: int, target, 
     """
     if reps < 2:
         raise InvalidConfig("reps must be >= 2")
-    if not (isinstance(target, tuple) and len(target) == 2 and target[0] in ("point", "lq")):
-        raise InvalidConfig('target must be ("point", x0) or ("lq", q)')
+    check_target(target)
     tasks = [(f, em, cfg, n, target, master_seed, r) for r in range(reps)]
     if threads and threads > 1:
         with ProcessPoolExecutor(max_workers=int(threads)) as pool:

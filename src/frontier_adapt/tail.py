@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWindow, DomainError, InvalidConfig
-from .local_poly import Sample, window_indices
+from .local_poly import Sample, spread_overflows, window_indices
 
 INV_ALPHA_CAP = 10.0  # selected 1/alpha capped here (alpha >= 0.1), counted
 _TIE_JITTER = 1e-12   # relative to the window range
@@ -86,11 +86,17 @@ def neg_hill_inv_alpha(window_ys, m: int, counters=None) -> float:
     if not 3 <= m <= w.size:
         raise InvalidConfig(f"m={m} outside [3, {w.size}]")
     top = w[0]
+    if spread_overflows(top, w[m - 1]):
+        raise DegenerateWindow("span of the top order statistics overflows")
     span = top - w[m - 1]
     gaps = top - w[1 : m - 1]
     if span <= 0.0 or np.any(gaps <= 0.0):
         raise DegenerateWindow("zero gap between top order statistics")
-    return float(np.sum(np.log(span / gaps)) / m)
+    inv_alpha = float(np.sum(np.log(span / gaps)) / m)
+    if inv_alpha <= 0.0:
+        # Y_(2..m) tie: the jitter vanished in rounding next to a large level
+        raise DegenerateWindow("tied order statistics below the maximum")
+    return inv_alpha
 
 
 def estimate_b(window_ys, m: int, inv_alpha: float, n_bar: int | None = None,
@@ -118,7 +124,13 @@ def estimate_b(window_ys, m: int, inv_alpha: float, n_bar: int | None = None,
     if np.any(num <= 0.0):
         raise DegenerateWindow("zero gap between top order statistics")
     den = (n_bar / i) ** (-inv_alpha) - float(n_bar) ** (-inv_alpha)
-    return float(np.sum(np.log(num / den)) / (m * math.log(math.log(n_bar))))
+    # for a large inv_alpha both powers can underflow, so num / den may be
+    # inf; such a window is degenerate
+    with np.errstate(divide="ignore", over="ignore"):
+        b_hat = float(np.sum(np.log(num / den)) / (m * math.log(math.log(n_bar))))
+    if not math.isfinite(b_hat):
+        raise DegenerateWindow("non-finite b estimate")
+    return b_hat
 
 
 def tail_m(n_bar: int, m_exponent: float) -> int:

@@ -282,12 +282,29 @@ def test_overflowing_sample_gives_counted_nan(tmp_path):
     for extra in ([], ["--q", "1"]):
         proc = _run_cli(["estimate", "big.csv", *extra, "--out", "fit.csv"], tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert proc.stderr == ""
         _, rows = _read_csv(tmp_path / "fit.csv")
         nans = sum(r[1] == "nan" for r in rows)
         counters = json.loads((tmp_path / "fit.diagnostics.json").read_text())["counters"]
         assert nans > 0 and counters.get("lp_failures", 0) > 0
         assert nans <= counters.get("window_too_small", 0) + counters["lp_failures"]
+
+
+@pytest.mark.parametrize("target", ["point:nan", "point:2", "lq:0"])
+def test_rates_rejects_out_of_range_target(tmp_path, target):
+    proc = _run_cli(["rates", "--f", "const", "--em", "negexp", "--reps", "2",
+                     "--n-list", "40,60,90", "--target", target, "--out", "r.csv"], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and "InvalidConfig" in proc.stderr
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_package_import_leaves_scipy_integrate_unloaded():
+    code = "import sys, frontier_adapt; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=_source_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_rates_monte_carlo_with_worker_pool(tmp_path, monkeypatch):

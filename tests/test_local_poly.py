@@ -11,8 +11,10 @@ from frontier_adapt.local_poly import (
     estimate_at,
     estimate_curve,
     fit_local,
+    spread_overflows,
     window_indices,
 )
+from frontier_adapt.lp import LinearProgram, solve_lp
 
 
 def _line_envelope_oracle(xw, yw):
@@ -170,6 +172,34 @@ def test_overflowing_response_spread_is_numerical_breakdown():
     sample = Sample([1e308, -1e308, 0.0, -1.0])
     with pytest.raises(NumericalBreakdown):
         fit_local(sample, 0.5, 0.5, 1)
+
+
+def test_spread_overflows():
+    big = np.finfo(float).max
+    assert spread_overflows(1e308, -1e308)
+    assert spread_overflows(big, -1e300)
+    assert not spread_overflows(big, 0.0)
+    assert not spread_overflows(-1.0, -big)
+    assert not spread_overflows(1.0, -1e307)
+    assert not spread_overflows(1e308, 1e-308)
+
+
+@pytest.mark.parametrize("degree", range(6))
+def test_fit_matches_vandermonde_reference_bitwise(degree):
+    # fit_local builds its power basis by hand; the same LP through
+    # np.vander must give the same vertex, bit for bit
+    rng = np.random.default_rng(degree)
+    sample = Sample(np.sin(np.arange(1, 301) / 30.0) - rng.exponential(size=300))
+    for x, h in ((0.5, 0.1), (0.02, 0.05), (0.97, 0.2)):
+        fit = fit_local(sample, x, h, degree)
+        idx = window_indices(sample.n, x, h)
+        t = ((idx + 1) / sample.n - x) / h
+        powers = np.vander(t, degree + 1, increasing=True)
+        yw = sample.ys[idx]
+        sol = solve_lp(LinearProgram(powers.sum(axis=0), powers, yw - yw.max()))
+        coeffs = sol.variables / h ** np.arange(degree + 1)
+        coeffs[0] += yw.max()
+        assert fit.coeffs.tobytes() == coeffs.tobytes()
 
 
 def test_estimate_curve_nan_and_empty():

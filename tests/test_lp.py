@@ -185,6 +185,11 @@ _BEALE = np.array(
 _BEALE_ROWS = [5, 6, 2, 3, 0, 1, 4]
 
 
+def _beale_lp():
+    rows = _BEALE[:3, :7].T[_BEALE_ROWS]
+    return LinearProgram(_BEALE[:3, 7], rows, -_BEALE[3, :7][_BEALE_ROWS])
+
+
 def _envelope_lp(t, y, degree):
     """The LP fit_local builds: shifted responses above a power basis in t."""
     powers = np.vander(t, degree + 1, increasing=True)
@@ -208,8 +213,7 @@ def _golden_lps():
             # responses on a polynomial up to 1e-13: ratios tie within the band
             y_tied = trend - 1e-13 * rng.random(m) * (rng.random(m) < 0.5)
             lps.append(_envelope_lp(t, y_tied, degree))
-    beale_a = _BEALE[:3, :7].T[_BEALE_ROWS]
-    lps.append(LinearProgram(_BEALE[:3, 7], beale_a, -_BEALE[3, :7][_BEALE_ROWS]))
+    lps.append(_beale_lp())
     return lps
 
 
@@ -234,21 +238,13 @@ def test_golden_solve_lp_digest():
 
 
 def test_golden_set_trips_bland_switch(monkeypatch):
-    beale = _golden_lps()[-1]
+    beale = _beale_lp()
     sol = solve_lp(beale)
     assert sol.status == OPTIMAL and sol.iterations > lp_module._STALL_LIMIT
     # without the switch to Bland's rule Dantzig pricing cycles to the limit
     monkeypatch.setattr(lp_module, "_STALL_LIMIT", 10**9)
     with pytest.raises(NumericalBreakdown, match="pivot limit"):
         solve_lp(beale)
-
-
-def test_run_simplex_cycling_tableau_switches_to_bland():
-    T = _BEALE.copy()
-    basis = np.arange(3)
-    status, pivots = lp_module._run_simplex(T, basis, 7, 1e-9)
-    assert status == OPTIMAL and pivots > lp_module._STALL_LIMIT
-    assert T[-1, -1] == pytest.approx(1.25, abs=1e-12)  # minus the optimum -5/4
 
 
 def test_run_simplex_all_pivots_below_tol_breaks_down():
@@ -260,3 +256,16 @@ def test_run_simplex_all_pivots_below_tol_breaks_down():
 def test_run_simplex_unbounded_column():
     T = np.array([[-1.0, 1.0], [0.0, 2.0], [-1.0, 0.0]])
     assert lp_module._run_simplex(T, np.array([1, 2]), 1, 1e-9) == (UNBOUNDED, 0)
+
+
+def test_run_simplex_nan_rhs_breaks_down():
+    T = np.array([[1.0, np.nan], [2.0, 4.0], [-1.0, 0.0]])
+    with pytest.raises(NumericalBreakdown, match="ratio test"):
+        lp_module._run_simplex(T, np.array([1, 2]), 1, 1e-9)
+
+
+def test_run_simplex_nan_pivot_entry_never_leaves():
+    T = np.array([[np.nan, 1.0], [2.0, 4.0], [-1.0, 0.0]])
+    basis = np.array([1, 2])
+    assert lp_module._run_simplex(T, basis, 1, 1e-9) == (OPTIMAL, 1)
+    assert basis.tolist() == [1, 0]

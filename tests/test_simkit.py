@@ -152,6 +152,19 @@ def test_mc_risk_validation():
         mc_risk(f, em, cfg, 60, 5, ("sup", 0.5), master_seed=0)
     with pytest.raises(InvalidConfig):
         mc_risk(f, em, cfg, 60, 5, "point", master_seed=0)
+    for target in (("point", float("nan")), ("point", 0.0), ("point", 2.0), ("lq", 0.5)):
+        with pytest.raises(InvalidConfig):
+            mc_risk(f, em, cfg, 60, 5, target, master_seed=0)
+
+
+def test_mc_risk_does_not_drop_config_errors(monkeypatch):
+    def bad_config(*args, **kwargs):
+        raise InvalidConfig("forced config error")
+
+    monkeypatch.setattr("frontier_adapt.simkit.adaptive_estimate", bad_config)
+    with pytest.raises(InvalidConfig, match="forced"):
+        mc_risk(builtin_f("const"), ErrorModel("negexp"), EstimatorConfig(), 40, 4,
+                ("point", 0.5), master_seed=0)
 
 
 def test_mc_risk_reports_failures(monkeypatch):

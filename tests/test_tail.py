@@ -297,3 +297,30 @@ def test_constant_sample_raises_degenerate():
     grid = _default_grid(30)
     with pytest.raises(DegenerateWindow):
         estimate_tail_at(Sample(np.full(30, -2.0)), 0.5, grid, 2.0 / 3.0)
+
+
+def test_overflowing_span_is_degenerate():
+    # finite order statistics whose span 1e308 - (-1e308) overflows
+    with pytest.raises(DegenerateWindow, match="overflows"):
+        neg_hill_inv_alpha([1e308, 0.0, -1e308], 3)
+
+
+def test_ties_lost_to_rounding_are_degenerate():
+    # next to 1e6 the tie jitter rounds away, so Y_(2) = Y_(3) and 1/alpha = 0
+    w = [1e6 + 1.0, 1e6, 1e6, 1e6 - 1.0]
+    with pytest.raises(DegenerateWindow, match="tied"):
+        neg_hill_inv_alpha(w, 3)
+    ys = np.full(200, 1e6)
+    ys[100] += 1.0
+    counters = {}
+    estimate_tail_at(Sample(ys), 0.5, _default_grid(200), 2.0 / 3.0, counters)
+    assert counters["tail_k_skipped"] > 0
+
+
+@pytest.mark.parametrize("n_bar, inv_alpha", [(5, 1e4), (200, 160.0)])
+def test_non_finite_b_estimate_is_degenerate(n_bar, inv_alpha):
+    # (5, 1e4): both powers of nbar underflow, so num / den divides by zero;
+    # (200, 160): den is subnormal and num / den overflows
+    w = -np.arange(float(n_bar))
+    with pytest.raises(DegenerateWindow, match="non-finite"):
+        estimate_b(w, 3, inv_alpha)
