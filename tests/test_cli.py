@@ -1,5 +1,6 @@
 """CLI contract: subcommands, file formats, exit codes, reproducibility."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -317,6 +318,44 @@ def test_rates_monte_carlo_with_worker_pool(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "rates.report.json").read_text())
     assert len(report["risks"]) == 3
     assert all(r > 0 for r in report["risks"])
+
+
+def _golden_cli_outputs(tmp):
+    """Every non-manifest output of one run of each subcommand, in run order."""
+    risks = tmp / "risks.csv"
+    risks.write_text("n,risk,stderr\n100,0.1,0.01\n200,0.061,0.004\n400,0.026,0.002\n")
+    runs = [
+        (["simulate", "--f", "f2", "--em", "negexp", "--n", "80", "--seed", "3",
+          "--out", str(tmp / "sample.csv")], ["sample.csv"]),
+        (["estimate", str(tmp / "sample.csv"), "--out", str(tmp / "fit.csv")],
+         ["fit.csv", "fit.diagnostics.json"]),
+        (["estimate", str(tmp / "sample.csv"), "--q", "1", "--out", str(tmp / "fit_l1.csv")],
+         ["fit_l1.csv", "fit_l1.diagnostics.json"]),
+        (["tail", str(tmp / "sample.csv"), "--x", "0.5", "--out", str(tmp / "tail.json")],
+         ["tail.json"]),
+        (["rates", "--risks-file", str(risks), "--out", str(tmp / "refit.csv")],
+         ["refit.csv", "refit.report.json"]),
+        (["rates", "--f", "const", "--em", "negexp", "--n-list", "40,60,90", "--reps", "4",
+          "--threads", "1", "--seed", "2", "--out", str(tmp / "rates.csv")],
+         ["rates.csv", "rates.report.json"]),
+    ]
+    for argv, outputs in runs:
+        assert main(argv) == 0, argv
+        yield from outputs
+
+
+# One SHA-256 over the bytes of every output above (manifests excluded: they
+# hold the elapsed time).  It pins the CLI's files across refactors of the
+# parser and the config plumbing.
+GOLDEN_CLI_DIGEST = "14c7399a02772a8a25b59f0c3c5692ec8ea31fb2504f8f3eb50e88e369dc8096"
+
+
+def test_golden_cli_digest(tmp_path):
+    h = hashlib.sha256()
+    for name in _golden_cli_outputs(tmp_path):
+        h.update(name.encode() + b"\0")
+        h.update((tmp_path / name).read_bytes())
+    assert h.hexdigest() == GOLDEN_CLI_DIGEST
 
 
 def _declared_entry_point(name):
