@@ -31,9 +31,8 @@ DEFAULT_J_BETA = 1
 class EstimatorConfig:
     """Tuning knobs for the adaptive pipeline.
 
-    q = None selects pointwise (sup-style) selection; a real q >= 1 selects
-    empirical L_q selection with a single global bandwidth index.
-    j_beta = None resolves to DEFAULT_J_BETA.
+    q = None selects pointwise (sup-style) selection; a finite q >= 1
+    selects empirical L_q selection with a single global bandwidth index.
     """
 
     beta_star: int = 2
@@ -41,9 +40,8 @@ class EstimatorConfig:
     rho: float = 2.0
     m_exponent: float = 2.0 / 3.0
     c_beta: float = DEFAULT_C_BETA
-    j_beta: int | None = None
+    j_beta: int = DEFAULT_J_BETA
     q: float | None = None
-    quadrature_tol: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -57,18 +55,10 @@ class EstimatorConfig:
             raise InvalidConfig("m_exponent must lie in (0, 1)")
         if not self.c_beta > 0.0:
             raise InvalidConfig("c_beta must be positive")
-        if self.j_beta is not None and (
-            not isinstance(self.j_beta, (int, np.integer)) or self.j_beta < 1
-        ):
+        if not isinstance(self.j_beta, (int, np.integer)) or self.j_beta < 1:
             raise InvalidConfig("j_beta must be an integer >= 1")
-        if self.q is not None and not self.q >= 1.0:
-            raise InvalidConfig("q must be >= 1 (or None for pointwise)")
-        if not self.quadrature_tol > 0.0:
-            raise InvalidConfig("quadrature_tol must be positive")
-
-    @property
-    def j_beta_effective(self) -> int:
-        return DEFAULT_J_BETA if self.j_beta is None else int(self.j_beta)
+        if self.q is not None and not 1.0 <= self.q < math.inf:
+            raise InvalidConfig("q must be finite and >= 1 (or None for pointwise)")
 
 
 @dataclass(frozen=True)
@@ -122,7 +112,7 @@ def critical_values_pointwise(grid: BandwidthGrid, tail, cfg: EstimatorConfig) -
 
     Arguments of A below e are clamped to zeta_k = 1 (maximal truncation).
     """
-    J = cfg.j_beta_effective
+    J = cfg.j_beta
     logn = math.log(grid.n)
     alpha = 1.0 / tail.inv_alpha
     tf = TailFunction(tail.inv_alpha, tail.b_hat)
@@ -133,7 +123,7 @@ def critical_values_pointwise(grid: BandwidthGrid, tail, cfg: EstimatorConfig) -
     return CriticalValues(raw=raw, truncated=_truncate_monotonize(raw), kind="pointwise")
 
 
-def iu_n(s: float, q: float, tail, n: int, tol: float = 1e-8) -> float:
+def iu_n(s: float, q: float, tail, n: int) -> float:
     """Integral transform of the plug-in tail function for L_q losses.
 
     iu_n(s, q) = ( integral_{n^(-2 inv_alpha)}^{min(sqrt n, s/e^2)}
@@ -141,8 +131,10 @@ def iu_n(s: float, q: float, tail, n: int, tol: float = 1e-8) -> float:
 
     with the analytic derivative
         (log(s/y))^(q b - 1) (s/y)^(-q inv_alpha) (q inv_alpha log(s/y) - q b) / y.
-    The upper clip at s/e^2 keeps log(s/y) >= 2; an empty clipped domain
-    raises DomainError (callers treat the corresponding zeta as 1).
+    The upper clip at s/e^2 keeps log(s/y) >= 2.  An empty clipped domain,
+    or an integrand that overflows a float (large q), raises DomainError;
+    callers treat the corresponding zeta as 1.  The quadrature's absolute
+    tolerance is fixed at 1e-8.
     """
     # imported here: scipy.integrate is most of the package's import time,
     # and only L_q selection needs it
@@ -167,20 +159,21 @@ def iu_n(s: float, q: float, tail, n: int, tol: float = 1e-8) -> float:
 
     with _warnings.catch_warnings():
         _warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(deriv_weighted, lo, hi, epsabs=tol, epsrel=1e-11, limit=200)
+        try:
+            val, _ = quad(deriv_weighted, lo, hi, epsabs=1e-8, epsrel=1e-11, limit=200)
+        except OverflowError as exc:
+            raise DomainError(f"iu_n integrand overflows for q={q!r}") from exc
     return math.copysign(abs(val) ** (1.0 / q), val)
 
 
 def critical_values_lq(grid: BandwidthGrid, tail, q: float, cfg: EstimatorConfig) -> CriticalValues:
     """zeta_k = sqrt(5) c |iu_n(n h_k / (6 J), q)| for k < K, terminal 0."""
-    J = cfg.j_beta_effective
+    J = cfg.j_beta
     raw = np.zeros(grid.K + 1)
     for k in range(grid.K):
         s = grid.n * grid.bandwidths[k] / (6.0 * J)
         try:
-            raw[k] = math.sqrt(5.0) * cfg.c_beta * abs(
-                iu_n(s, q, tail, grid.n, cfg.quadrature_tol)
-            )
+            raw[k] = math.sqrt(5.0) * cfg.c_beta * abs(iu_n(s, q, tail, grid.n))
         except DomainError:
             raw[k] = 1.0
     return CriticalValues(raw=raw, truncated=_truncate_monotonize(raw), kind="lq", q=q)
@@ -220,7 +213,9 @@ def lepski_select(estimates, cvs: CriticalValues, q: float | None = None) -> int
             mask = np.isfinite(a) & np.isfinite(b)
             if not mask.any():
                 return np.nan
-            return float(np.mean(np.abs(a[mask] - b[mask]) ** q) ** (1.0 / q))
+            # a large q can overflow to inf, which distance() skips
+            with np.errstate(over="ignore"):
+                return float(np.mean(np.abs(a[mask] - b[mask]) ** q) ** (1.0 / q))
 
     def distance(k, l):
         # a pair at infinite distance is skipped like an undefined one
@@ -324,6 +319,8 @@ def adaptive_estimate(sample: Sample, cfg: EstimatorConfig, x=None, grid=None):
             "h0_exponent >= 0.5: smallest windows may be too thin for stable tail estimation"
         )
     pts = np.atleast_1d(np.asarray(grid if x is None else [x], dtype=float))
+    if not np.all(np.isfinite(pts)):
+        raise InvalidConfig("estimation points must be finite")
     # (tail point, fit points) of each selection site
     if cfg.q is None:
         sites = [(xp, [xp]) for xp in pts]

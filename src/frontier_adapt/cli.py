@@ -51,7 +51,20 @@ from .simkit import (
 from .tail import TailFunction, a_hat, estimate_tail_at
 
 _CFG_FIELDS = {f.name for f in fields(EstimatorConfig)}
-_FLAG_FIELDS = ("beta_star", "h0_exponent", "rho", "m_exponent", "c_beta", "j_beta", "q")
+
+# (type, help) of the flag --<name with dashes> for each EstimatorConfig
+# field; each subcommand adds the flags it reads
+_CONFIG_FLAGS = {
+    "beta_star": (int, "local polynomial degree"),
+    "h0_exponent": (float, "smallest bandwidth n^(h0_exponent - 1)"),
+    "rho": (float, "bandwidth grid ratio"),
+    "m_exponent": (float, "order statistics per window ~ 2 nbar^m_exponent"),
+    "c_beta": (float, "critical value constant"),
+    "j_beta": (int, "critical value scale factor"),
+    "q": (float, "L_q selection (default: pointwise selection)"),
+    "seed": (int, "RNG seed"),
+}
+_ESTIMATOR_FLAGS = ("beta_star", "h0_exponent", "rho", "m_exponent", "c_beta", "j_beta")
 
 
 def _g17(v) -> str:
@@ -78,25 +91,11 @@ def _build_config(args) -> EstimatorConfig:
     unknown = set(merged) - _CFG_FIELDS
     if unknown:
         raise InvalidConfig(f"unknown config keys: {sorted(unknown)}")
-    for name in _FLAG_FIELDS:
-        value = getattr(args, name)
+    for name in _CFG_FIELDS:
+        value = getattr(args, name, None)
         if value is not None:
             merged[name] = value
-    if args.seed is not None:
-        merged["seed"] = args.seed
     return EstimatorConfig(**merged)
-
-
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return max(1, int(args.threads))
-    env = os.environ.get("FRONTIER_ADAPT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise InvalidConfig("FRONTIER_ADAPT_THREADS must be an integer") from exc
-    return 1
 
 
 def _read_table(path, headers):
@@ -199,7 +198,7 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _write_manifest(primary_out, command, cfg, seed, input_paths, output_paths, t0):
+def _write_manifest(primary_out, command, cfg, input_paths, output_paths, t0):
     import scipy
 
     from . import __version__
@@ -207,7 +206,7 @@ def _write_manifest(primary_out, command, cfg, seed, input_paths, output_paths, 
     manifest = {
         "command": command,
         "config": asdict(cfg),
-        "seed": seed,
+        "seed": cfg.seed,
         "inputs": {p: _sha256(p) for p in input_paths},
         "outputs": {p: _sha256(p) for p in output_paths},
         "versions": {
@@ -280,9 +279,7 @@ def cmd_estimate(args) -> int:
             "warnings": diag.warnings,
         },
     )
-    _write_manifest(
-        args.out, "estimate", cfg, cfg.seed, [args.input], [args.out, diag_path], t0
-    )
+    _write_manifest(args.out, "estimate", cfg, [args.input], [args.out, diag_path], t0)
     print(f"wrote {args.out} ({sample.n} rows) and {diag_path}")
     return 0
 
@@ -298,7 +295,7 @@ def cmd_simulate(args) -> int:
         fh.write("x,y\n")
         for xv, yv in zip(xs, sample.ys):
             fh.write(f"{_g17(xv)},{_g17(yv)}\n")
-    _write_manifest(args.out, "simulate", cfg, cfg.seed, [], [args.out], t0)
+    _write_manifest(args.out, "simulate", cfg, [], [args.out], t0)
     print(f"wrote {args.out} ({args.n} rows)")
     return 0
 
@@ -329,7 +326,7 @@ def cmd_tail(args) -> int:
             "counters": counters,
         },
     )
-    _write_manifest(args.out, "tail", cfg, cfg.seed, [args.input], [args.out], t0)
+    _write_manifest(args.out, "tail", cfg, [args.input], [args.out], t0)
     print(f"wrote {args.out}")
     return 0
 
@@ -371,7 +368,8 @@ def _read_risks_file(path):
 def cmd_rates(args) -> int:
     t0 = time.perf_counter()
     cfg = _build_config(args)
-    threads = _resolve_threads(args)
+    if args.threads < 1:
+        raise InvalidConfig(f"--threads must be >= 1, got {args.threads}")
     target = _parse_target(args.target)
     inputs = []
     if args.risks_file:
@@ -385,7 +383,7 @@ def cmd_rates(args) -> int:
         ns = _parse_n_list(args.n_list)
         risks, errs = [], []
         for n in ns:
-            risk, err = mc_risk(f, em, cfg, n, args.reps, target, cfg.seed, threads=threads)
+            risk, err = mc_risk(f, em, cfg, n, args.reps, target, cfg.seed, threads=args.threads)
             risks.append(risk)
             errs.append(err)
     report = rate_fit(ns, risks, errs)
@@ -411,23 +409,17 @@ def cmd_rates(args) -> int:
             "theoretical_exponent": theory,
         },
     )
-    _write_manifest(args.out, "rates", cfg, cfg.seed, inputs, [args.out, report_path], t0)
+    _write_manifest(args.out, "rates", cfg, inputs, [args.out, report_path], t0)
     print(f"wrote {args.out} and {report_path} (slope {report.slope:.4f})")
     return 0
 
 
-def _add_shared_flags(p):
+def _add_config_flags(p, names):
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--seed", type=int, default=None, help="RNG seed (default 0)")
     p.add_argument("--out", required=True, help="primary output path")
-    p.add_argument("--beta-star", dest="beta_star", type=int, default=None)
-    p.add_argument("--h0-exponent", dest="h0_exponent", type=float, default=None)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--m-exponent", dest="m_exponent", type=float, default=None)
-    p.add_argument("--c-beta", dest="c_beta", type=float, default=None)
-    p.add_argument("--j-beta", dest="j_beta", type=int, default=None)
-    p.add_argument("--q", type=float, default=None,
-                   help="L_q selection (default: pointwise selection)")
+    for name in names:
+        kind, text = _CONFIG_FLAGS[name]
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, help=text)
 
 
 def _add_model_flags(p):
@@ -448,11 +440,11 @@ def _build_parser():
 
     p = sub.add_parser("estimate", help="fit the adaptive envelope to a CSV sample")
     p.add_argument("input", help="CSV with columns x,y (equidistant x) or a single y column")
-    _add_shared_flags(p)
+    _add_config_flags(p, _ESTIMATOR_FLAGS + ("q",))
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("simulate", help="draw a synthetic sample")
-    _add_shared_flags(p)
+    _add_config_flags(p, ("seed",))
     _add_model_flags(p)
     p.add_argument("--f", required=True, help="regression function: f1, f2, absdip, const")
     p.add_argument("--n", type=int, required=True, help="sample size")
@@ -460,12 +452,13 @@ def _build_parser():
 
     p = sub.add_parser("tail", help="estimate tail parameters at one point")
     p.add_argument("input", help="CSV sample as for estimate")
-    _add_shared_flags(p)
+    _add_config_flags(p, ("h0_exponent", "rho", "m_exponent"))
     p.add_argument("--x", type=float, default=0.5, help="estimation point (default 0.5)")
     p.set_defaults(func=cmd_tail)
 
     p = sub.add_parser("rates", help="Monte Carlo risks over n with a log-log slope fit")
-    _add_shared_flags(p)
+    # --target sets the loss, so rates takes no --q
+    _add_config_flags(p, _ESTIMATOR_FLAGS + ("seed",))
     _add_model_flags(p)
     p.add_argument("--f", default=None, help="regression function: f1, f2, absdip, const")
     p.add_argument("--n-list", dest="n_list", default=None, help="comma list, e.g. 200,400,800")
@@ -475,8 +468,7 @@ def _build_parser():
     p.add_argument("--beta", type=float, default=None, help="true smoothness for the theory line")
     p.add_argument("--risks-file", dest="risks_file", default=None,
                    help="CSV n,risk[,stderr]: fit the slope without simulating")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default: FRONTIER_ADAPT_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
     p.set_defaults(func=cmd_rates)
     return parser
 

@@ -176,14 +176,14 @@ def _replicate_loss(args):
 
 def check_target(target):
     """Raise InvalidConfig unless target is ("point", x0) with x0 in (0, 1]
-    or ("lq", q) with q >= 1."""
+    or ("lq", q) with q finite and >= 1."""
     if not (isinstance(target, tuple) and len(target) == 2 and target[0] in ("point", "lq")):
         raise InvalidConfig('target must be ("point", x0) or ("lq", q)')
     kind, value = target
     if kind == "point" and not 0.0 < value <= 1.0:
         raise InvalidConfig(f"target point must lie in (0, 1], got {value!r}")
-    if kind == "lq" and not value >= 1.0:
-        raise InvalidConfig(f"target q must be >= 1, got {value!r}")
+    if kind == "lq" and not 1.0 <= value < math.inf:
+        raise InvalidConfig(f"target q must be finite and >= 1, got {value!r}")
 
 
 def mc_risk(f, em: ErrorModel, cfg: EstimatorConfig, n: int, reps: int, target, master_seed, threads: int = 1):
@@ -198,9 +198,11 @@ def mc_risk(f, em: ErrorModel, cfg: EstimatorConfig, n: int, reps: int, target, 
         raise InvalidConfig("reps must be >= 2")
     check_target(target)
     tasks = [(f, em, cfg, n, target, master_seed, r) for r in range(reps)]
-    if threads and threads > 1:
-        with ProcessPoolExecutor(max_workers=int(threads)) as pool:
-            raw = list(pool.map(_replicate_loss, tasks, chunksize=max(1, reps // (4 * int(threads)))))
+    # the pool starts all its workers at once, so never more than there are tasks
+    workers = min(int(threads), reps)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            raw = list(pool.map(_replicate_loss, tasks, chunksize=max(1, reps // (4 * workers))))
     else:
         raw = [_replicate_loss(t) for t in tasks]
     losses = [v for v in raw if v is not None]

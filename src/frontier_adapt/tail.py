@@ -205,6 +205,8 @@ def estimate_tail_at(sample: Sample, x: float, grid, m_exponent: float,
     estimates built from the matching window and 1/alpha, with threshold
     rho^(-k) / loglog(n).
     """
+    if not math.isfinite(x):
+        raise InvalidConfig(f"estimation point must be finite, got {x!r}")
     invs, ms, windows = per_k_inv_alphas(sample, x, grid, m_exponent, counters)
     k_alpha, inv_alpha = _nested_select(invs, grid.K, grid.rho, math.log(grid.n),
                                         "tail estimation", counters)

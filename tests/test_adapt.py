@@ -21,7 +21,7 @@ from frontier_adapt.adapt import (
 )
 from frontier_adapt.errors import DomainError, InvalidConfig
 from frontier_adapt.simkit import ErrorModel, builtin_f, gen_sample
-from frontier_adapt.tail import TailFunction
+from frontier_adapt.tail import TailFunction, estimate_tail_at
 
 
 def test_build_grid_examples():
@@ -47,9 +47,7 @@ def test_build_grid_validation():
 
 
 def test_config_validation():
-    cfg = EstimatorConfig()
-    assert cfg.j_beta_effective == DEFAULT_J_BETA
-    assert EstimatorConfig(j_beta=3).j_beta_effective == 3
+    assert EstimatorConfig().j_beta == DEFAULT_J_BETA == 1
     for bad in (
         dict(beta_star=-1),
         dict(h0_exponent=1.2),
@@ -57,11 +55,16 @@ def test_config_validation():
         dict(m_exponent=0.0),
         dict(c_beta=0.0),
         dict(j_beta=0),
+        dict(j_beta=None),
         dict(q=0.5),
-        dict(quadrature_tol=0.0),
+        dict(q=math.inf),
+        dict(q=math.nan),
     ):
         with pytest.raises(InvalidConfig):
             EstimatorConfig(**bad)
+    # the quadrature tolerance is a constant of iu_n, not a setting
+    with pytest.raises(TypeError):
+        EstimatorConfig(quadrature_tol=1e-8)
 
 
 def test_pointwise_critical_values_inverse_bandwidth_form():
@@ -145,6 +148,9 @@ def test_iu_n_domain_errors():
     # lo = n^(-2 inv_alpha) exceeds the clipped upper limit for small s
     with pytest.raises(DomainError):
         iu_n(1.0, 1.0, TailFunction(0.1, 0.0), 100)
+    # with b > 0 a large q overflows the integrand's (log(s/y))^(q b - 1)
+    with pytest.raises(DomainError, match="overflow"):
+        iu_n(1e3, 1e20, TailFunction(1.0, 0.5), 10_000)
 
 
 def test_lq_critical_values_inverse_bandwidth_form():
@@ -196,11 +202,12 @@ def test_lepski_select_lq_masks_nan():
     assert lepski_select(curves, zt, q=1.0) == 1
     all_nan = np.vstack([base, np.full(10, np.nan), np.full(10, np.nan)])
     assert lepski_select(all_nan, zt, q=1.0) == 2
-    # an overflowing L_q distance is skipped like an undefined one
+    # an overflowing L_q distance is skipped like an undefined one, without
+    # a RuntimeWarning (the test configuration turns those into errors)
     huge = np.vstack([base, np.full(10, 1e200), np.full(10, 1e200)])
-    with np.errstate(over="ignore"):
-        assert lepski_select(huge, zt, q=2.0) == 2
+    assert lepski_select(huge, zt, q=2.0) == 2
     assert lepski_select(huge, zt, q=1.0) == 0
+    assert lepski_select(np.vstack([base, base + 2.0, base + 2.0]), zt, q=1e20) == 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -240,6 +247,18 @@ def test_adaptive_estimate_argument_contract():
         adaptive_estimate(sample, EstimatorConfig())
     with pytest.raises(InvalidConfig):
         adaptive_estimate(sample, EstimatorConfig(), x=0.5, grid=[0.5])
+
+
+@pytest.mark.parametrize("cfg", [EstimatorConfig(), EstimatorConfig(q=1.0)])
+def test_non_finite_point_is_invalid_config(cfg):
+    sample = gen_sample(builtin_f("const"), ErrorModel("negexp"), 50, seed=2)
+    for where in (dict(x=math.nan), dict(x=math.inf), dict(grid=[0.5, math.inf]),
+                  dict(grid=[math.nan])):
+        with pytest.raises(InvalidConfig, match="finite"):
+            adaptive_estimate(sample, cfg, **where)
+    grid = build_grid(sample.n, cfg.h0_exponent, cfg.rho)
+    with pytest.raises(InvalidConfig, match="finite"):
+        estimate_tail_at(sample, math.nan, grid, cfg.m_exponent)
 
 
 def test_h0_exponent_warning_surfaces_in_diagnostics():

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, file formats, exit codes, reproducibility."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from frontier_adapt.cli import main
+from frontier_adapt.cli import _build_parser, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -215,29 +216,66 @@ def test_config_file_invalid_json_exits_2(tmp_path):
     assert rc == 2
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
+def test_threads_below_one_exits_2(tmp_path, capsys):
     risks = tmp_path / "risks.csv"
     risks.write_text("n,risk\n100,0.1\n200,0.05\n400,0.025\n")
-    monkeypatch.setenv("FRONTIER_ADAPT_THREADS", "2")
-    rc = main(["rates", "--risks-file", str(risks), "--out", str(tmp_path / "r.csv")])
-    assert rc == 0
-    monkeypatch.setenv("FRONTIER_ADAPT_THREADS", "lots")
-    rc = main(["rates", "--risks-file", str(risks), "--out", str(tmp_path / "r2.csv")])
-    assert rc == 2
+    argv = ["rates", "--risks-file", str(risks), "--out", str(tmp_path / "r.csv")]
+    assert main(argv) == 0
+    assert main(argv + ["--threads", "2"]) == 0
+    for bad in ("0", "-3"):
+        assert main(argv + ["--threads", bad]) == 2
+        assert "--threads must be >= 1" in capsys.readouterr().err
 
 
-def test_threads_only_on_rates(tmp_path, monkeypatch):
+def test_threads_only_on_rates(tmp_path):
     data = tmp_path / "ok.csv"
     rng = np.random.default_rng(1)
     data.write_text("y\n" + "".join(f"{v}\n" for v in -rng.exponential(size=30)))
-    # estimation never reads the worker setting, so a bad value is no error
-    monkeypatch.setenv("FRONTIER_ADAPT_THREADS", "lots")
-    assert main(["estimate", str(data), "--out", str(tmp_path / "f.csv")]) == 0
     for cmd in (["estimate", str(data)], ["tail", str(data)],
                 ["simulate", "--f", "f1", "--em", "negexp", "--n", "10"]):
         with pytest.raises(SystemExit) as exc:
             main(cmd + ["--threads", "2", "--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
+
+
+# The options each subcommand takes: every one of them is read.  Estimator
+# flags go to estimate and rates (where --target sets the loss, not --q),
+# tail reads the grid and order-statistic settings, and simulate the seed.
+_ESTIMATOR_OPTIONS = {"--beta-star", "--h0-exponent", "--rho", "--m-exponent", "--c-beta",
+                      "--j-beta"}
+_MODEL_OPTIONS = {"--em", "--rate", "--shape", "--lam", "--alpha-profile", "--f"}
+_SUBCOMMAND_OPTIONS = {
+    "estimate": {"--config", "--out", "--q"} | _ESTIMATOR_OPTIONS,
+    "simulate": {"--config", "--out", "--seed", "--n"} | _MODEL_OPTIONS,
+    "tail": {"--config", "--out", "--h0-exponent", "--rho", "--m-exponent", "--x"},
+    "rates": {"--config", "--out", "--seed", "--n-list", "--reps", "--target", "--alpha",
+              "--beta", "--risks-file", "--threads"} | _ESTIMATOR_OPTIONS | _MODEL_OPTIONS,
+}
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    parser = _build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    taken = {
+        name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert taken == _SUBCOMMAND_OPTIONS
+    assert sum(map(len, taken.values())) == 47
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--f", "f1", "--em", "negexp", "--n", "10", "--rho", "0.5"],
+    ["tail", "s.csv", "--q", "2"],
+    ["estimate", "s.csv", "--seed", "99"],
+    ["rates", "--risks-file", "r.csv", "--q", "7"],
+])
+def test_option_a_subcommand_does_not_read_exits_2(tmp_path, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def _source_env():
@@ -300,6 +338,29 @@ def test_rates_rejects_out_of_range_target(tmp_path, target):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["tail", "s.csv", "--x", "nan"], 2),
+    (["tail", "s.csv", "--x", "inf"], 2),
+    (["estimate", "s.csv", "--q", "inf"], 2),
+    (["rates", "--f", "const", "--em", "negexp", "--reps", "2", "--n-list", "40,60,90",
+      "--target", "lq:inf"], 2),
+    (["rates", "--risks-file", "r.csv", "--threads", "0"], 2),
+    (["estimate", "s.csv", "--q", "1e20"], 0),
+])
+def test_hostile_setting_exits_cleanly(tmp_path, argv, code):
+    main(["simulate", "--f", "f2", "--em", "negexp", "--n", "60", "--seed", "4",
+          "--out", str(tmp_path / "s.csv")])
+    (tmp_path / "r.csv").write_text("n,risk\n100,0.1\n200,0.05\n400,0.025\n")
+    proc = _run_cli([*argv, "--out", "out.csv"], tmp_path)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert proc.stderr == ""
+    else:
+        assert proc.stderr.startswith("error[config] InvalidConfig:"), proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert not (tmp_path / "out.csv").exists()
+
+
 def test_package_import_leaves_scipy_integrate_unloaded():
     code = "import sys, frontier_adapt; print('scipy.integrate' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -308,11 +369,10 @@ def test_package_import_leaves_scipy_integrate_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_rates_monte_carlo_with_worker_pool(tmp_path, monkeypatch):
-    monkeypatch.setenv("FRONTIER_ADAPT_THREADS", "2")
+def test_rates_monte_carlo_with_worker_pool(tmp_path):
     out = tmp_path / "rates.csv"
     rc = main(["rates", "--f", "const", "--em", "negexp", "--n-list", "40,60,90",
-               "--reps", "4", "--target", "point:0.5", "--seed", "2",
+               "--reps", "4", "--target", "point:0.5", "--seed", "2", "--threads", "2",
                "--out", str(out)])
     assert rc == 0
     report = json.loads((tmp_path / "rates.report.json").read_text())

@@ -142,6 +142,33 @@ def test_mc_risk_parallel_matches_serial_bitwise(target):
     assert mc_risk(*args, master_seed=3, threads=2) == serial
 
 
+def test_mc_risk_pool_never_exceeds_reps(monkeypatch):
+    # a fork-based pool starts all max_workers processes up front; this fake
+    # records the size it is asked for, starts nothing and maps in-process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("frontier_adapt.simkit.ProcessPoolExecutor", RecordingPool)
+    args = (builtin_f("f2"), ErrorModel("negexp"), EstimatorConfig(), 40, 3, ("point", 0.5))
+    serial = mc_risk(*args, master_seed=1)
+    assert sizes == []
+    assert mc_risk(*args, master_seed=1, threads=8) == serial
+    assert mc_risk(*args, master_seed=1, threads=2) == serial
+    assert sizes == [3, 2]
+
+
 def test_mc_risk_validation():
     f = builtin_f("const")
     em = ErrorModel("zero")
@@ -152,7 +179,8 @@ def test_mc_risk_validation():
         mc_risk(f, em, cfg, 60, 5, ("sup", 0.5), master_seed=0)
     with pytest.raises(InvalidConfig):
         mc_risk(f, em, cfg, 60, 5, "point", master_seed=0)
-    for target in (("point", float("nan")), ("point", 0.0), ("point", 2.0), ("lq", 0.5)):
+    for target in (("point", float("nan")), ("point", 0.0), ("point", 2.0), ("lq", 0.5),
+                   ("lq", math.inf), ("lq", math.nan)):
         with pytest.raises(InvalidConfig):
             mc_risk(f, em, cfg, 60, 5, target, master_seed=0)
 
