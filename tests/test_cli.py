@@ -261,7 +261,6 @@ def test_each_subcommand_takes_only_the_options_it_reads():
         for name, sub in subparsers.choices.items()
     }
     assert taken == _SUBCOMMAND_OPTIONS
-    assert sum(map(len, taken.values())) == 47
 
 
 @pytest.mark.parametrize("argv", [
