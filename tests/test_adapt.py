@@ -1,5 +1,6 @@
 """Grid, critical values, Lepski selection, and the adaptive pipeline."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from frontier_adapt.adapt import (
     lepski_select,
 )
 from frontier_adapt.errors import DomainError, InvalidConfig
-from frontier_adapt.simkit import ErrorModel, builtin_f, gen_sample
+from frontier_adapt.simkit import ERROR_KINDS, ErrorModel, builtin_f, gen_sample
 from frontier_adapt.tail import TailFunction, estimate_tail_at
 
 
@@ -323,3 +324,33 @@ def test_f2_exponential_noise_sup_error_band():
         vals, _ = adaptive_estimate(sample, cfg, grid=sample.xs())
         hits += float(np.nanmax(np.abs(vals - f2(sample.xs())))) < 1.5
     assert hits >= 0.9 * reps
+
+
+def _lq_selections():
+    """L_q selections for f2 under all six error models: seeds 0-2 at n = 50
+    and 400, seed 0 at n = 1600; q = 1 on the design, q = 2 on 21 points."""
+    f2 = builtin_f("f2")
+    for n, seeds in ((50, range(3)), (400, range(3)), (1600, (0,))):
+        for seed in seeds:
+            for kind in ERROR_KINDS:
+                sample = gen_sample(f2, ErrorModel(kind), n, seed)
+                yield adaptive_estimate(sample, EstimatorConfig(q=1.0), grid=sample.xs())
+                yield adaptive_estimate(sample, EstimatorConfig(q=2.0),
+                                        grid=np.linspace(0.0, 1.0, 21))
+
+
+# Pins every bit of the L_q values and selection trace above: arrays with
+# their dtype and shape, scalars by their exact repr, counters in key order.
+# A speed change to the selection must leave it unchanged.
+GOLDEN_LQ_DIGEST = "76e58bf038db9444abaa130203579760431f991aa27c824444c53fce9bca6508"
+
+
+def test_golden_lq_selection_digest():
+    h = hashlib.sha256()
+    for values, diag in _lq_selections():
+        for arr in (values, diag.zeta_raw, diag.zeta_truncated, diag.window_sizes):
+            h.update(f"{arr.dtype.str}{arr.shape}".encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+        h.update(repr((diag.k_hat, diag.alpha_hat, diag.b_hat, diag.k_alpha, diag.k_b,
+                       diag.zeta_at_k_hat, list(diag.counters.items()))).encode())
+    assert h.hexdigest() == GOLDEN_LQ_DIGEST
