@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalBreakdown, WindowTooSmall
+from .errors import InvalidConfig, NumericalBreakdown, WindowTooSmall
 from .lp import OPTIMAL, LinearProgram, solve_lp
 
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -57,6 +57,19 @@ def window_indices(n: int, x: float, h: float) -> np.ndarray:
     if hi < lo:
         return np.empty(0, dtype=np.intp)
     return np.arange(lo - 1, hi, dtype=np.intp)
+
+
+def check_points(points) -> np.ndarray:
+    """points as an at least 1-d float array; InvalidConfig unless every one
+    is finite and lies in [0, 1], the span of the design."""
+    pts = np.atleast_1d(np.asarray(points, dtype=float))
+    # NaN fails both comparisons
+    bad = pts[~((pts >= 0.0) & (pts <= 1.0))]
+    if bad.size:
+        raise InvalidConfig(
+            f"estimation points must be finite and lie in [0, 1], got {float(bad[0])!r}"
+        )
+    return pts
 
 
 @dataclass(frozen=True)

@@ -167,7 +167,9 @@ def _replicate_loss(args):
         values, _ = adaptive_estimate(sample, replace(cfg, q=q), grid=xs)
         if not np.all(np.isfinite(values)):
             return None
-        return float(np.mean(np.abs(values - np.asarray(f(xs))) ** q))
+        # a large q overflows to inf, which mc_risk rejects
+        with np.errstate(over="ignore"):
+            return float(np.mean(np.abs(values - np.asarray(f(xs))) ** q))
     except InvalidConfig:
         raise
     except FrontierAdaptError:
@@ -192,7 +194,8 @@ def mc_risk(f, em: ErrorModel, cfg: EstimatorConfig, n: int, reps: int, target, 
     target = ("point", x0) gives the squared pointwise risk at x0;
     target = ("lq", q) gives the empirical q-th power loss averaged over the
     design.  Failed replicates are dropped, not imputed; more than 5%
-    failures raises PipelineError.  Returns (risk, stderr).
+    failures raises PipelineError, and a loss that overflows a float (a
+    large q) raises DegenerateInput.  Returns (risk, stderr).
     """
     if reps < 2:
         raise InvalidConfig("reps must be >= 2")
@@ -210,6 +213,9 @@ def mc_risk(f, em: ErrorModel, cfg: EstimatorConfig, n: int, reps: int, target, 
     if dropped > 0.05 * reps:
         raise PipelineError(f"{dropped} of {reps} replicates failed")
     arr = np.asarray(losses, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        # only the L_q loss can get here: a squared point loss is a finite float
+        raise DegenerateInput(f"the loss |f_hat - f|^q overflows a float at q={target[1]!r}")
     risk = float(arr.mean())
     stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
     return risk, stderr

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWindow, DomainError, InvalidConfig
-from .local_poly import Sample, spread_overflows, window_indices
+from .local_poly import Sample, check_points, spread_overflows, window_indices
 
 INV_ALPHA_CAP = 10.0  # selected 1/alpha capped here (alpha >= 0.1), counted
 _TIE_JITTER = 1e-12   # relative to the window range
@@ -205,8 +205,7 @@ def estimate_tail_at(sample: Sample, x: float, grid, m_exponent: float,
     estimates built from the matching window and 1/alpha, with threshold
     rho^(-k) / loglog(n).
     """
-    if not math.isfinite(x):
-        raise InvalidConfig(f"estimation point must be finite, got {x!r}")
+    check_points(x)
     invs, ms, windows = per_k_inv_alphas(sample, x, grid, m_exponent, counters)
     k_alpha, inv_alpha = _nested_select(invs, grid.K, grid.rho, math.log(grid.n),
                                         "tail estimation", counters)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frontier_adapt import adapt
 from frontier_adapt.adapt import (
     DEFAULT_J_BETA,
     CriticalValues,
@@ -253,13 +254,58 @@ def test_adaptive_estimate_argument_contract():
 @pytest.mark.parametrize("cfg", [EstimatorConfig(), EstimatorConfig(q=1.0)])
 def test_non_finite_point_is_invalid_config(cfg):
     sample = gen_sample(builtin_f("const"), ErrorModel("negexp"), 50, seed=2)
+    # a point outside the design's span [0, 1] is rejected like a non-finite one
     for where in (dict(x=math.nan), dict(x=math.inf), dict(grid=[0.5, math.inf]),
-                  dict(grid=[math.nan])):
+                  dict(grid=[math.nan]), dict(x=5.0), dict(x=-1.0),
+                  dict(grid=[0.5, 1.0 + 1e-9]), dict(grid=[-1e-12, 0.5])):
         with pytest.raises(InvalidConfig, match="finite"):
             adaptive_estimate(sample, cfg, **where)
     grid = build_grid(sample.n, cfg.h0_exponent, cfg.rho)
-    with pytest.raises(InvalidConfig, match="finite"):
-        estimate_tail_at(sample, math.nan, grid, cfg.m_exponent)
+    for x in (math.nan, 5.0, -1.0):
+        with pytest.raises(InvalidConfig, match="finite"):
+            estimate_tail_at(sample, x, grid, cfg.m_exponent)
+    values, _ = adaptive_estimate(sample, cfg, grid=[0.0, 1.0])
+    assert values.shape == (2,)
+
+
+def _count_fits(monkeypatch):
+    """Bandwidths of every envelope fit adaptive_estimate runs, in order."""
+    hs = []
+    fit = adapt.estimate_at
+
+    def counted(sample, x, h, degree):
+        hs.append(h)
+        return fit(sample, x, h, degree)
+
+    monkeypatch.setattr(adapt, "estimate_at", counted)
+    return hs
+
+
+@pytest.mark.parametrize("n", [3, 200])
+def test_lq_selection_fits_only_the_rows_it_reads(monkeypatch, n):
+    hs = _count_fits(monkeypatch)
+    sample = gen_sample(builtin_f("f2"), ErrorModel("negexp"), n, seed=0)
+    values, diag = adaptive_estimate(sample, EstimatorConfig(q=1.0), grid=sample.xs())
+    K = diag.grid.K
+    # the Lepski rule reads rows k <= k_hat + 1 only; K = 0 reads none but
+    # still fits row k_hat = 0 for the values
+    assert len(hs) == n * (min(diag.k_hat + 1, K) + 1)
+    assert np.all(np.diff(hs) >= 0.0)
+    assert np.all(np.isfinite(values))
+    if n == 200:
+        assert K == 4 and diag.k_hat + 1 < K
+    else:
+        assert K == 0
+
+
+def test_pointwise_selection_still_fits_every_row(monkeypatch):
+    hs = _count_fits(monkeypatch)
+    # selections next to the step of f1 at 2/3 stop early
+    sample = gen_sample(builtin_f("f1"), ErrorModel("negexp"), 200, seed=1)
+    _, diag = adaptive_estimate(sample, EstimatorConfig(), grid=[0.6, 0.65])
+    K = diag.grid.K
+    assert np.all(diag.k_hat + 1 < K)
+    assert len(hs) == 2 * (K + 1)
 
 
 def test_h0_exponent_warning_surfaces_in_diagnostics():

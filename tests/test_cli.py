@@ -337,6 +337,16 @@ def test_rates_rejects_out_of_range_target(tmp_path, target):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_rates_overflowing_lq_loss_exits_4_without_warnings(tmp_path):
+    proc = _run_cli(["rates", "--f", "f2", "--em", "negexp", "--n-list", "40,60,90",
+                     "--reps", "2", "--target", "lq:1e20", "--out", "r.csv"], tmp_path)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("error[numeric] DegenerateInput:"), proc.stderr
+    assert proc.stderr.count("\n") == 1 and "q=1e+20" in proc.stderr
+    assert "Warning" not in proc.stderr
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("argv, code", [
     (["tail", "s.csv", "--x", "nan"], 2),
     (["tail", "s.csv", "--x", "inf"], 2),
@@ -345,6 +355,8 @@ def test_rates_rejects_out_of_range_target(tmp_path, target):
       "--target", "lq:inf"], 2),
     (["rates", "--risks-file", "r.csv", "--threads", "0"], 2),
     (["estimate", "s.csv", "--q", "1e20"], 0),
+    (["tail", "s.csv", "--x", "5"], 2),
+    (["tail", "s.csv", "--x", "-1"], 2),
 ])
 def test_hostile_setting_exits_cleanly(tmp_path, argv, code):
     main(["simulate", "--f", "f2", "--em", "negexp", "--n", "60", "--seed", "4",
