@@ -202,15 +202,14 @@ def lepski_select(estimates, cvs: CriticalValues, q: float | None = None) -> int
     if len(estimates) != K + 1:
         raise ValueError("estimates must cover k = 0..K")
     if q is None:
-        est = np.asarray(estimates, dtype=float)
-        if est.ndim != 1:
+        estimates = np.asarray(estimates, dtype=float)
+        if estimates.ndim != 1:
             raise ValueError("pointwise selection expects one value per k")
 
         def dist(a, b):
             return abs(a - b)
 
     else:
-        est = estimates
 
         def dist(a, b):
             a = np.asarray(a, dtype=float)
@@ -224,7 +223,7 @@ def lepski_select(estimates, cvs: CriticalValues, q: float | None = None) -> int
 
     def distance(k, l):
         # a pair at infinite distance is skipped like an undefined one
-        d = dist(est[k + 1], est[l])
+        d = dist(estimates[k + 1], estimates[l])
         return d if np.isfinite(d) else np.nan
 
     return first_drift(K, distance, lambda k, l: zt[l] + zt[k + 1])
