@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateWindow, DomainError, InvalidConfig, NumericalBreakdown, WindowTooSmall
-from .local_poly import Sample, check_points, estimate_at, window_indices
+from .local_poly import Sample, check_points, estimate_at, window_bounds
 from .tail import TailFunction, _bump, a_hat, estimate_tail_at, first_drift
 
 # Calibrated defaults for the critical-value constants.  The theory only
@@ -279,7 +279,8 @@ class Diagnostics:
 
 def _estimate_with_fallback(sample, xp, h, beta_star, counters):
     """Envelope estimate with the degree lowered to fit small windows."""
-    nw = window_indices(sample.n, xp, h).size
+    start, stop = window_bounds(sample.n, xp, h)
+    nw = stop - start
     if nw < 2:
         _bump(counters, "window_too_small")
         return np.nan
@@ -399,7 +400,9 @@ def adaptive_estimate(sample: Sample, cfg: EstimatorConfig, x=None, grid=None):
         zraw[i] = cvs.raw
         ztr[i] = cvs.truncated
         zsel[i] = cvs.truncated[k_hat]
-        sizes[i] = [window_indices(sample.n, x_tail, h).size for h in bgrid.bandwidths[: K + 1]]
+        for k, h in enumerate(bgrid.bandwidths[: K + 1]):
+            start, stop = window_bounds(sample.n, x_tail, h)
+            sizes[i, k] = stop - start
 
     trace = dict(k_hat=k_hats, alpha_hat=alphas, b_hat=bhats, k_alpha=kas, k_b=kbs,
                  zeta_raw=zraw, zeta_truncated=ztr, zeta_at_k_hat=zsel, window_sizes=sizes)

@@ -422,8 +422,8 @@ def _add_config_flags(p, names):
         p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind, help=text)
 
 
-def _add_model_flags(p):
-    p.add_argument("--em", choices=ERROR_KINDS, help="error model kind")
+def _add_model_flags(p, em_required):
+    p.add_argument("--em", choices=ERROR_KINDS, required=em_required, help="error model kind")
     p.add_argument("--rate", type=float, default=1.0, help="negexp rate")
     p.add_argument("--shape", type=float, default=1.0, help="neggamma/negweibull shape")
     p.add_argument("--lam", type=float, default=1.0, help="refgamma parameter")
@@ -445,7 +445,7 @@ def _build_parser():
 
     p = sub.add_parser("simulate", help="draw a synthetic sample")
     _add_config_flags(p, ("seed",))
-    _add_model_flags(p)
+    _add_model_flags(p, em_required=True)
     p.add_argument("--f", required=True, help="regression function: f1, f2, absdip, const")
     p.add_argument("--n", type=int, required=True, help="sample size")
     p.set_defaults(func=cmd_simulate)
@@ -459,7 +459,8 @@ def _build_parser():
     p = sub.add_parser("rates", help="Monte Carlo risks over n with a log-log slope fit")
     # --target sets the loss, so rates takes no --q
     _add_config_flags(p, _ESTIMATOR_FLAGS + ("seed",))
-    _add_model_flags(p)
+    # rates needs --em only when it simulates, so cmd_rates checks it
+    _add_model_flags(p, em_required=False)
     p.add_argument("--f", default=None, help="regression function: f1, f2, absdip, const")
     p.add_argument("--n-list", dest="n_list", default=None, help="comma list, e.g. 200,400,800")
     p.add_argument("--reps", type=int, default=100, help="Monte Carlo replications per n")

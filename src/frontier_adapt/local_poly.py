@@ -50,13 +50,22 @@ def spread_overflows(top: float, bottom: float) -> bool:
     return top > 0.0 > bottom and bottom <= top - _FLOAT_MAX
 
 
+def window_bounds(n: int, x: float, h: float) -> tuple[int, int]:
+    """Zero-based slice (start, stop) of the design points j/n with
+    |j/n - x| <= h (tiny fp slack included); stop == start when empty.
+
+    A bandwidth reaching past the design, infinite included, gives the whole
+    design.
+    """
+    x, h = float(x), float(h)  # Python floats overflow to inf without a warning
+    lo = max(1, math.ceil(max(n * (x - h) - 1e-9, 0.0)))
+    hi = min(n, math.floor(min(n * (x + h) + 1e-9, n)))
+    return lo - 1, max(lo - 1, hi)
+
+
 def window_indices(n: int, x: float, h: float) -> np.ndarray:
     """Zero-based indices j-1 with |j/n - x| <= h (tiny fp slack included)."""
-    lo = max(1, math.ceil(n * (x - h) - 1e-9))
-    hi = min(n, math.floor(n * (x + h) + 1e-9))
-    if hi < lo:
-        return np.empty(0, dtype=np.intp)
-    return np.arange(lo - 1, hi, dtype=np.intp)
+    return np.arange(*window_bounds(n, x, h), dtype=np.intp)
 
 
 def check_points(points) -> np.ndarray:
@@ -88,41 +97,40 @@ class PolyFit:
         return np.polynomial.polynomial.polyval(t, self.coeffs)
 
 
-def fit_local(sample: Sample, x: float, h: float, degree: int) -> PolyFit:
-    """LP envelope fit at x with bandwidth h.
+def _solve_window(sample: Sample, x: float, h: float, degree: int):
+    """Envelope LP at x with bandwidth h in centered, scaled coordinates.
 
-    Coordinates are centered and scaled to t = (x_j - x)/h in [-1, 1] and the
-    responses shifted by their window maximum before the solve; both are
-    undone on the returned coefficients.  Needs degree + 2 window points.
+    Returns (solution, shift, window size); the solution's coefficients are
+    in t = (x_j - x)/h and its responses are shifted down by shift.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
     if not 0.0 < h:
         raise ValueError("bandwidth must be positive")
-    idx = window_indices(sample.n, x, h)
-    meff = idx.size
+    start, stop = window_bounds(sample.n, x, h)
+    meff = stop - start
     if meff < degree + 2:
         raise WindowTooSmall(
             f"window at x={x} with h={h} has {meff} points, needs {degree + 2}"
         )
-    t = (idx + 1) / sample.n - x
+    t = np.arange(start + 1, stop + 1) / sample.n - x
     t /= h
-    yw = sample.ys[idx]
+    yw = sample.ys[start:stop]
     shift = yw.max()
     if spread_overflows(shift, yw.min()):
         # finite responses such as 1e308 and -1e308
         raise NumericalBreakdown(f"shifted responses at x={x} with h={h} overflow")
-    rhs = yw - shift
 
-    # np.vander(t, degree + 1, increasing=True) without its wrapper cost
+    # np.vander(t, degree + 1, increasing=True), one product per column;
+    # C order, so the objective sums the rows in order
     powers = np.empty((meff, degree + 1))
     powers[:, 0] = 1.0
-    powers[:, 1:] = t[:, None]
-    np.multiply.accumulate(powers[:, 1:], axis=1, out=powers[:, 1:])
+    for j in range(1, degree + 1):
+        np.multiply(powers[:, j - 1], t, out=powers[:, j])
     lp = LinearProgram(
         objective=powers.sum(axis=0),
         constraint_matrix=powers,
-        constraint_rhs=rhs,
+        constraint_rhs=yw - shift,
     )
     sol = solve_lp(lp)
     if sol.status != OPTIMAL:
@@ -130,8 +138,21 @@ def fit_local(sample: Sample, x: float, h: float, degree: int) -> PolyFit:
         # constraints) and bounded below by sum(yw), so anything else is
         # a numerical failure
         raise NumericalBreakdown(f"envelope LP returned status {sol.status}")
+    return sol, shift, meff
 
-    coeffs = sol.variables / h ** np.arange(degree + 1)
+
+def fit_local(sample: Sample, x: float, h: float, degree: int) -> PolyFit:
+    """LP envelope fit at x with bandwidth h.
+
+    Coordinates are centered and scaled to t = (x_j - x)/h in [-1, 1] and the
+    responses shifted by their window maximum before the solve; both are
+    undone on the returned coefficients.  Needs degree + 2 window points.
+    """
+    sol, shift, meff = _solve_window(sample, x, h, degree)
+    # h**j overflows only for an h far beyond the design, where the
+    # coefficient's limit is 0
+    with np.errstate(over="ignore"):
+        coeffs = sol.variables / h ** np.arange(degree + 1)
     coeffs[0] += shift
     return PolyFit(
         center=float(x),
@@ -145,7 +166,8 @@ def fit_local(sample: Sample, x: float, h: float, degree: int) -> PolyFit:
 
 def estimate_at(sample: Sample, x: float, h: float, degree: int) -> float:
     """Envelope estimate at a single point (constant coefficient of the fit)."""
-    return float(fit_local(sample, x, h, degree).coeffs[0])
+    sol, shift, _ = _solve_window(sample, x, h, degree)
+    return float(sol.variables[0] + shift)
 
 
 def estimate_curve(sample: Sample, grid, h: float, degree: int) -> np.ndarray:

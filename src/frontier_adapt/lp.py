@@ -32,11 +32,17 @@ The cost of a solve is Python overhead per pivot, not arithmetic: the
 tableau has only d+2 rows.  So pricing is one NumPy argmin over the
 reduced-cost row, and the ratio test runs in plain Python floats over the
 d+1 constraint rows, with the same IEEE divisions NumPy would do.
+
+Phase 1 reads only A and c, and envelope fits over one design repeat the
+same windows, so its result is memoized on the exact bytes of (A, c) in a
+bounded least-recently-used store; the responses r enter in phase 2 alone.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +57,7 @@ FEASIBILITY_TOL = 1e-9   # relative, on recovered-solution slacks
 PIVOT_TOL = 1e-12        # pivot magnitudes below this raise NumericalBreakdown
 _MAX_PIVOT_FACTOR = 200  # safety cap: pivots <= factor * (rows + cols)
 _STALL_LIMIT = 30        # consecutive degenerate pivots before Bland's rule
+PHASE1_MEMO_BYTES = 1 << 20  # cap on the phase-1 memo's keys and tableaux
 
 
 @dataclass(frozen=True)
@@ -89,6 +96,10 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """Solver result.  iterations counts the pivots on the solution path:
+    phase 1 (also when its result is reused), the drive-out of the
+    artificials, phase 2 and any infeasibility probe."""
+
     variables: np.ndarray
     objective_value: float
     status: str
@@ -178,8 +189,13 @@ def _run_simplex(T, basis, n_enterable, tol_rc):
             raise NumericalBreakdown("simplex pivot limit exceeded")
 
 
-def _solve_via_dual(A, r, c):
-    """Two-phase simplex on the dual; returns (status, b, dual_value, pivots)."""
+def _phase1(A, c):
+    """Phase 1 on the dual of min{c.b : Ab >= r}; it reads A and c only.
+
+    Builds the dual tableau, drives the artificial sum to zero and then the
+    zero-level artificials out of the basis.  Returns (T, basis, pivots),
+    with T and basis None when the dual is infeasible.
+    """
     m, nv = A.shape
     sign = np.where(c < 0.0, -1.0, 1.0)
     ncols = m + nv
@@ -191,15 +207,13 @@ def _solve_via_dual(A, r, c):
     cscale = max(1.0, abs_c.max())
     basis = np.arange(m, ncols)
 
-    # phase 1: drive the artificial sum to zero
     T[-1, m:ncols] = 1.0
     T[-1] -= T[:nv].sum(axis=0)
-    status, p1 = _run_simplex(T, basis, ncols, 1e-9 * cscale)
-    pivots = p1
+    status, pivots = _run_simplex(T, basis, ncols, 1e-9 * cscale)
     if status != OPTIMAL:
         raise NumericalBreakdown("phase 1 terminated unbounded")
     if -T[-1, -1] > 1e-7 * cscale:
-        return "dual_infeasible", None, np.nan, pivots
+        return None, None, pivots
 
     # drive zero-level artificials out of the basis: left in, they corrupt
     # phase 2's unboundedness test (their rows admit no positive pivot).
@@ -215,8 +229,72 @@ def _solve_via_dual(A, r, c):
             pivots += 1
         else:
             T[i, :m][np.abs(row) <= PIVOT_TOL] = 0.0
+    return T, basis, pivots
+
+
+class _Phase1Memo:
+    """Least-recently-used store of _phase1 results keyed on the bytes of (A, c).
+
+    Phase 1 reads nothing but A and c, so a stored result is the one a fresh
+    run would compute, bit for bit; callers get copies, since phase 2 pivots
+    the tableau in place.  Keys and tableaux together stay within cap bytes.
+    An entry larger than half the cap would crowd out the rest, so such a
+    problem runs phase 1 without building a key.  A NumericalBreakdown
+    propagates and leaves nothing stored.
+    """
+
+    def __init__(self, cap):
+        self.cap = cap
+        self.nbytes = 0
+        self._entries = OrderedDict()  # key -> ((T, basis, pivots), nbytes)
+        self._lock = threading.Lock()
+
+    def __len__(self):
+        return len(self._entries)
+
+    def clear(self):
+        with self._lock:
+            self._entries.clear()
+            self.nbytes = 0
+
+    def __call__(self, A, c):
+        m, nv = A.shape
+        key_bytes = A.nbytes + c.nbytes
+        if key_bytes + 8 * ((nv + 1) * (m + nv + 1) + nv) > self.cap // 2:
+            return _phase1(A, c)
+        key = (A.shape, A.tobytes(), c.tobytes())
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+        if entry is None:
+            result = _phase1(A, c)
+            T, basis, _ = result
+            entry = (result, key_bytes + (0 if T is None else T.nbytes + basis.nbytes))
+            with self._lock:
+                if key not in self._entries:
+                    self._entries[key] = entry
+                    self.nbytes += entry[1]
+                    while self.nbytes > self.cap:
+                        self.nbytes -= self._entries.popitem(last=False)[1][1]
+        T, basis, pivots = entry[0]
+        if T is None:
+            return None, None, pivots
+        return T.copy(), basis.copy(), pivots
+
+
+_phase1_memo = _Phase1Memo(PHASE1_MEMO_BYTES)
+
+
+def _solve_via_dual(A, r, c):
+    """Two-phase simplex on the dual; returns (status, b, dual_value, pivots)."""
+    T, basis, pivots = _phase1_memo(A, c)
+    if T is None:
+        return "dual_infeasible", None, np.nan, pivots
 
     # phase 2: minimize (-r) . lam with artificials barred from entering
+    m, nv = A.shape
+    ncols = m + nv
     costs = np.zeros(ncols + 1)
     costs[:m] = -r
     T[-1] = costs
@@ -226,7 +304,7 @@ def _solve_via_dual(A, r, c):
     if status == UNBOUNDED:
         return "dual_unbounded", None, np.nan, pivots
 
-    b = sign * T[-1, m:ncols]
+    b = np.where(c < 0.0, -1.0, 1.0) * T[-1, m:ncols]
     return "dual_optimal", b, T[-1, -1], pivots
 
 

@@ -113,6 +113,18 @@ def test_unknown_error_model_rejected_by_parser(tmp_path):
     assert exc.value.code == 2
 
 
+def test_simulate_without_error_model_names_the_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--f", "f1", "--n", "10", "--out", str(tmp_path / "x.csv")])
+    assert exc.value.code == 2
+    assert "required: --em" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    # rates reads --em only when it simulates, so it checks the flag itself
+    assert main(["rates", "--f", "f1", "--n-list", "50", "--out", str(tmp_path / "r.csv")]) == 2
+    assert "rates needs --f, --em" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_tail_constant_sample_exits_4_with_hint(tmp_path, capsys):
     data = tmp_path / "const.csv"
     data.write_text("y\n" + "-2.0\n" * 40)

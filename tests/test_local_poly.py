@@ -1,5 +1,7 @@
 """Envelope fit tests: exactness on polynomial data, feasibility, invariances."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from frontier_adapt.local_poly import (
     estimate_curve,
     fit_local,
     spread_overflows,
+    window_bounds,
     window_indices,
 )
 from frontier_adapt.lp import LinearProgram, solve_lp
@@ -43,6 +46,31 @@ def test_window_indices_examples():
     assert window_indices(10, 0.05, 0.01).tolist() == []
     # endpoints land exactly on the window boundary and are kept
     assert window_indices(4, 0.5, 0.25).tolist() == [0, 1, 2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 500),
+    x=st.floats(0.0, 1.0),
+    h=st.one_of(st.floats(1e-6, 1.0), st.floats(1.0, 1e308), st.just(math.inf)),
+)
+def test_window_bounds_match_brute_force(n, x, h):
+    # the design points j with |j/n - x| <= h, with the rule's 1e-9 slack
+    kept = [j - 1 for j in range(1, n + 1) if n * (x - h) - 1e-9 <= j <= n * (x + h) + 1e-9]
+    start, stop = window_bounds(n, x, h)
+    assert list(range(start, stop)) == kept
+    assert window_indices(n, x, h).tolist() == kept
+
+
+@pytest.mark.parametrize("h", [math.inf, 1e308, np.float64(1e308), 2.0])
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_bandwidth_past_the_design_fits_the_whole_design(h, degree):
+    sample = Sample([0.0, 1.0, 2.0, 3.0, 1.0])
+    fit = fit_local(sample, 0.5, h, degree)
+    assert fit.window_size == 5
+    assert np.all(np.isfinite(fit.coeffs))
+    assert np.all(fit(sample.xs()) >= sample.ys - 1e-9)
+    assert estimate_at(sample, 0.5, h, degree) == fit.coeffs[0]
 
 
 @settings(max_examples=50, deadline=None)
@@ -200,6 +228,8 @@ def test_fit_matches_vandermonde_reference_bitwise(degree):
         coeffs = sol.variables / h ** np.arange(degree + 1)
         coeffs[0] += yw.max()
         assert fit.coeffs.tobytes() == coeffs.tobytes()
+        estimate = estimate_at(sample, x, h, degree)
+        assert np.float64(estimate).tobytes() == fit.coeffs[:1].tobytes()
 
 
 def test_estimate_curve_nan_and_empty():

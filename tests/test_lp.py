@@ -237,14 +237,118 @@ def test_golden_solve_lp_digest():
     assert _digest([solve_lp(lp) for lp in _golden_lps()]) == GOLDEN_DIGEST
 
 
+def _count_phase1(monkeypatch):
+    """Record every phase-1 run that the memo did not answer."""
+    runs = []
+    phase1 = lp_module._phase1
+
+    def counted(A, c):
+        runs.append(A.shape)
+        return phase1(A, c)
+
+    monkeypatch.setattr(lp_module, "_phase1", counted)
+    return runs
+
+
+def _solution_bytes(sol):
+    return (np.asarray(sol.variables).tobytes(), np.float64(sol.objective_value).tobytes(),
+            sol.status, sol.iterations)
+
+
+def test_golden_digest_cold_and_warm(monkeypatch):
+    # each golden LP solved with an empty memo, then twice from its stored
+    # phase 1: the same bits and the same pivot counts every time
+    runs = _count_phase1(monkeypatch)
+    cold, warm, again = [], [], []
+    for lp in _golden_lps():
+        lp_module._phase1_memo.clear()
+        cold.append(solve_lp(lp))
+        warm.append(solve_lp(lp))
+        again.append(solve_lp(lp))
+    assert len(runs) == len(cold)
+    expected = [_solution_bytes(s) for s in cold]
+    assert [_solution_bytes(s) for s in warm] == expected
+    assert [_solution_bytes(s) for s in again] == expected
+    assert _digest(cold) == _digest(warm) == GOLDEN_DIGEST
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), flip=st.booleans())
+def test_warm_phase1_matches_cold_solve(seed, flip):
+    # same A and c, new r: the stored phase 1 gives a cold solve's bits,
+    # including the stored dual-infeasible verdict of unbounded LPs (flip)
+    rng = np.random.default_rng(seed)
+    if rng.random() < 0.5:
+        base = random_bounded_lp(rng)
+        A, c = base.constraint_matrix, base.objective
+    else:
+        degree = int(rng.integers(0, 5))
+        m = int(rng.integers(degree + 2, 200))
+        A = np.vander(np.sort(rng.uniform(-1.0, 1.0, m)), degree + 1, increasing=True)
+        c = A.sum(axis=0)
+    if flip:
+        c = -c
+    first = LinearProgram(c, A, rng.normal(size=A.shape[0]))
+    second = LinearProgram(c, A, rng.normal(size=A.shape[0]) - rng.exponential(size=A.shape[0]))
+
+    def solve_or_error(lp):
+        try:
+            return _solution_bytes(solve_lp(lp))
+        except NumericalBreakdown as exc:
+            return str(exc)
+
+    lp_module._phase1_memo.clear()
+    cold = solve_or_error(second)
+    lp_module._phase1_memo.clear()
+    solve_or_error(first)
+    assert solve_or_error(second) == cold
+
+
+def test_phase1_memo_stays_within_its_cap():
+    memo = lp_module._phase1_memo
+    memo.clear()
+    rng = np.random.default_rng(5)
+    sizes = []
+    for _ in range(40):
+        t = np.sort(rng.uniform(-1.0, 1.0, 1500))
+        solve_lp(_envelope_lp(t, -rng.exponential(size=t.size), 3))
+        assert 0 < memo.nbytes <= lp_module.PHASE1_MEMO_BYTES
+        sizes.append(len(memo))
+    assert lp_module.PHASE1_MEMO_BYTES <= 1 << 20
+    # entries were evicted, and more than one fits
+    assert 1 < max(sizes) < 40
+
+
+def test_oversized_tableau_bypasses_phase1_memo(monkeypatch):
+    memo = lp_module._phase1_memo
+    memo.clear()
+    solve_lp(_golden_lps()[0])
+    before = (len(memo), memo.nbytes)
+    runs = _count_phase1(monkeypatch)
+    t = np.linspace(-1.0, 1.0, 20000)
+    big = _envelope_lp(t, -np.abs(np.sin(40.0 * t)), 2)
+    first, second = solve_lp(big), solve_lp(big)
+    assert (len(memo), memo.nbytes) == before
+    assert len(runs) == 2
+    assert _solution_bytes(first) == _solution_bytes(second)
+
+
 def test_golden_set_trips_bland_switch(monkeypatch):
     beale = _beale_lp()
+    lp_module._phase1_memo.clear()
     sol = solve_lp(beale)
     assert sol.status == OPTIMAL and sol.iterations > lp_module._STALL_LIMIT
-    # without the switch to Bland's rule Dantzig pricing cycles to the limit
+    # without the switch to Bland's rule Dantzig pricing cycles to the limit,
+    # whether phase 1 comes from the memo or runs afresh
     monkeypatch.setattr(lp_module, "_STALL_LIMIT", 10**9)
+    runs = _count_phase1(monkeypatch)
     with pytest.raises(NumericalBreakdown, match="pivot limit"):
         solve_lp(beale)
+    assert runs == []
+    lp_module._phase1_memo.clear()
+    with pytest.raises(NumericalBreakdown, match="pivot limit"):
+        solve_lp(beale)
+    assert len(runs) == 1
 
 
 def test_run_simplex_all_pivots_below_tol_breaks_down():
