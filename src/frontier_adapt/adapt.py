@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DegenerateWindow, DomainError, InvalidConfig, NumericalBreakdown, WindowTooSmall
 from .local_poly import Sample, check_points, estimate_at, window_bounds
-from .tail import TailFunction, _bump, a_hat, estimate_tail_at, first_drift
+from .tail import _bump, a_hat, estimate_tail_at, first_drift
 
 # Calibrated defaults for the critical-value constants.  The theory only
 # proves such constants exist; these values come from the pilot study in
@@ -115,11 +115,10 @@ def critical_values_pointwise(grid: BandwidthGrid, tail, cfg: EstimatorConfig) -
     J = cfg.j_beta
     logn = math.log(grid.n)
     alpha = 1.0 / tail.inv_alpha
-    tf = TailFunction(tail.inv_alpha, tail.b_hat)
     raw = np.zeros(grid.K + 1)
     for k in range(grid.K):
         y = alpha * grid.n * grid.bandwidths[k] / (4.0 * J * logn)
-        raw[k] = 1.0 if y < math.e else 4.0 * cfg.c_beta * abs(a_hat(tf, y))
+        raw[k] = 1.0 if y < math.e else 4.0 * cfg.c_beta * abs(a_hat(tail, y))
     return CriticalValues(raw=raw, truncated=_truncate_monotonize(raw), kind="pointwise")
 
 
@@ -297,6 +296,12 @@ def _estimate_with_fallback(sample, xp, h, beta_star, counters):
         return np.nan
 
 
+def _fit_row(sample, points, h, beta_star, counters):
+    """Envelope estimates at points with bandwidth h; failed points are NaN."""
+    return np.array([_estimate_with_fallback(sample, xp, h, beta_star, counters)
+                     for xp in points])
+
+
 def _select_site(sample, cfg, grid, x_tail, fit_points, counters):
     """One selection site: tail parameters at x_tail, critical values for
     cfg.q, per-k estimates at fit_points and the Lepski index over them.
@@ -317,12 +322,8 @@ def _select_site(sample, cfg, grid, x_tail, fit_points, counters):
     else:
         cvs = critical_values_lq(grid, te, cfg.q, cfg)
 
-    def fit_row(k):
-        h = grid.bandwidths[k]
-        return np.array([_estimate_with_fallback(sample, xp, h, cfg.beta_star, counters)
-                         for xp in fit_points])
-
-    rows = _LazyRows(grid.K, fit_row)
+    rows = _LazyRows(grid.K, lambda k: _fit_row(sample, fit_points, grid.bandwidths[k],
+                                                 cfg.beta_star, counters))
     if cfg.q is None:
         # every row, not only k <= k_hat + 1: the benchmark's seed-0 reference
         # counts an lp_failure from a fit above k_hat + 1, so pointwise rows
@@ -387,10 +388,7 @@ def adaptive_estimate(sample: Sample, cfg: EstimatorConfig, x=None, grid=None):
         elif x is None and pts.size == sample.n and np.allclose(pts, fit_points, atol=1e-12):
             values = ests[k_hat].copy()
         else:
-            h = bgrid.bandwidths[k_hat]
-            values = np.array(
-                [_estimate_with_fallback(sample, xp, h, cfg.beta_star, counters) for xp in pts]
-            )
+            values = _fit_row(sample, pts, bgrid.bandwidths[k_hat], cfg.beta_star, counters)
         k_hats[i] = k_hat
         if te is not None:
             alphas[i] = 1.0 / te.inv_alpha

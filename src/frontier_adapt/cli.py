@@ -48,7 +48,7 @@ from .simkit import (
     mc_risk,
     rate_fit,
 )
-from .tail import TailFunction, a_hat, estimate_tail_at
+from .tail import a_hat, estimate_tail_at
 
 _CFG_FIELDS = {f.name for f in fields(EstimatorConfig)}
 
@@ -74,8 +74,6 @@ def _g17(v) -> str:
 def _load_config_file(path):
     if path is None:
         return {}
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -105,8 +103,6 @@ def _read_table(path, headers):
     name the columns (case-insensitive); without one, the first row's width
     picks the columns and every later row must have that width.  Every cell
     must be a finite number.  Returns (columns, [(line, values), ...])."""
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
     with open(path, newline="", encoding="utf-8") as fh:
         raw = [(ln, [c.strip() for c in row]) for ln, row in enumerate(csv.reader(fh), start=1)]
     rows = [(ln, row) for ln, row in raw if any(row)]
@@ -222,25 +218,13 @@ def _write_manifest(primary_out, command, cfg, input_paths, output_paths, t0):
     return path
 
 
-def _grid_payload(grid):
-    return {
-        "n": grid.n,
-        "h0": grid.h0,
-        "rho": grid.rho,
-        "K": grid.K,
-        "bandwidths": grid.bandwidths,
-    }
-
-
 def _error_model_from_args(args) -> ErrorModel:
     spatial = None
-    if getattr(args, "alpha_profile", None) is not None:
+    if args.alpha_profile is not None:
         if args.alpha_profile != "builtin":
             raise UnknownName(f"unknown alpha profile {args.alpha_profile!r}; only 'builtin'")
         spatial = alpha_profile
-    return ErrorModel(
-        kind=args.em, rate=args.rate, shape=args.shape, lam=args.lam, spatial=spatial
-    )
+    return ErrorModel(kind=args.em, rate=args.rate, shape=args.shape, spatial=spatial)
 
 
 def cmd_estimate(args) -> int:
@@ -250,12 +234,9 @@ def cmd_estimate(args) -> int:
     pts = sample.xs()
     values, diag = adaptive_estimate(sample, cfg, grid=pts)
     x_out = xs_in if xs_in is not None else pts
-    if diag.mode == "pointwise":
-        k_col = np.asarray(diag.k_hat)
-        z_col = np.asarray(diag.zeta_at_k_hat)
-    else:
-        k_col = np.full(sample.n, diag.k_hat, dtype=int)
-        z_col = np.full(sample.n, diag.zeta_at_k_hat)
+    # per-point columns in pointwise mode, one global value in L_q mode
+    k_col = np.broadcast_to(diag.k_hat, sample.n)
+    z_col = np.broadcast_to(diag.zeta_at_k_hat, sample.n)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("x,f_hat,k_hat,zeta_at_khat\n")
         for xv, fv, kv, zv in zip(x_out, values, k_col, z_col):
@@ -266,7 +247,7 @@ def cmd_estimate(args) -> int:
         {
             "mode": diag.mode,
             "n": sample.n,
-            "grid": _grid_payload(diag.grid),
+            "grid": asdict(diag.grid),
             "alpha_hat": diag.alpha_hat,
             "b_hat": diag.b_hat,
             "k_alpha": diag.k_alpha,
@@ -307,7 +288,6 @@ def cmd_tail(args) -> int:
     grid = build_grid(sample.n, cfg.h0_exponent, cfg.rho)
     counters: dict = {}
     te = estimate_tail_at(sample, args.x, grid, cfg.m_exponent, counters)
-    tf = TailFunction(inv_alpha=te.inv_alpha, b_hat=te.b_hat)
     lo = max(math.e, math.log(sample.n))
     ygrid = np.geomspace(lo, float(sample.n) ** 4, 41)
     _write_json(
@@ -315,14 +295,14 @@ def cmd_tail(args) -> int:
         {
             "x": args.x,
             "n": sample.n,
-            "grid": _grid_payload(grid),
+            "grid": asdict(grid),
             "alpha_hat": 1.0 / te.inv_alpha,
             "inv_alpha": te.inv_alpha,
             "b_hat": te.b_hat,
             "k_alpha": te.k_alpha,
             "k_b": te.k_b,
             "m_used": te.m_used,
-            "a_hat": {"y": ygrid, "value": a_hat(tf, ygrid)},
+            "a_hat": {"y": ygrid, "value": a_hat(te, ygrid)},
             "counters": counters,
         },
     )
@@ -425,8 +405,7 @@ def _add_config_flags(p, names):
 def _add_model_flags(p, em_required):
     p.add_argument("--em", choices=ERROR_KINDS, required=em_required, help="error model kind")
     p.add_argument("--rate", type=float, default=1.0, help="negexp rate")
-    p.add_argument("--shape", type=float, default=1.0, help="neggamma/negweibull shape")
-    p.add_argument("--lam", type=float, default=1.0, help="refgamma parameter")
+    p.add_argument("--shape", type=float, default=1.0, help="neggamma/refgamma/negweibull shape")
     p.add_argument("--alpha-profile", dest="alpha_profile", default=None,
                    help="'builtin' for the spatially varying neggamma shape")
 
@@ -484,8 +463,8 @@ def main(argv=None) -> int:
     except (ParseError, NonEquidistantDesign) as exc:
         print(f"error[input] {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"error[input] FileNotFoundError: missing file {exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error[input] {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except DegenerateWindow as exc:
         print(

@@ -100,8 +100,10 @@ class PolyFit:
 def _solve_window(sample: Sample, x: float, h: float, degree: int):
     """Envelope LP at x with bandwidth h in centered, scaled coordinates.
 
-    Returns (solution, shift, window size); the solution's coefficients are
-    in t = (x_j - x)/h and its responses are shifted down by shift.
+    Returns (solution, shift, scale, window size); the solution's
+    coefficients are in t = (x_j - x)/scale and its responses are shifted
+    down by shift.  scale = min(h, 2): every h >= 1 spans the whole design,
+    and a huge h would squeeze t to zeros and flatten the fit.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -113,8 +115,9 @@ def _solve_window(sample: Sample, x: float, h: float, degree: int):
         raise WindowTooSmall(
             f"window at x={x} with h={h} has {meff} points, needs {degree + 2}"
         )
+    scale = min(h, 2.0)
     t = np.arange(start + 1, stop + 1) / sample.n - x
-    t /= h
+    t /= scale
     yw = sample.ys[start:stop]
     shift = yw.max()
     if spread_overflows(shift, yw.min()):
@@ -138,21 +141,18 @@ def _solve_window(sample: Sample, x: float, h: float, degree: int):
         # constraints) and bounded below by sum(yw), so anything else is
         # a numerical failure
         raise NumericalBreakdown(f"envelope LP returned status {sol.status}")
-    return sol, shift, meff
+    return sol, shift, scale, meff
 
 
 def fit_local(sample: Sample, x: float, h: float, degree: int) -> PolyFit:
     """LP envelope fit at x with bandwidth h.
 
-    Coordinates are centered and scaled to t = (x_j - x)/h in [-1, 1] and the
-    responses shifted by their window maximum before the solve; both are
-    undone on the returned coefficients.  Needs degree + 2 window points.
+    Coordinates are centered and scaled to t = (x_j - x)/min(h, 2) in [-1, 1]
+    and the responses shifted by their window maximum before the solve; both
+    are undone on the returned coefficients.  Needs degree + 2 window points.
     """
-    sol, shift, meff = _solve_window(sample, x, h, degree)
-    # h**j overflows only for an h far beyond the design, where the
-    # coefficient's limit is 0
-    with np.errstate(over="ignore"):
-        coeffs = sol.variables / h ** np.arange(degree + 1)
+    sol, shift, scale, meff = _solve_window(sample, x, h, degree)
+    coeffs = sol.variables / scale ** np.arange(degree + 1)
     coeffs[0] += shift
     return PolyFit(
         center=float(x),
@@ -166,7 +166,7 @@ def fit_local(sample: Sample, x: float, h: float, degree: int) -> PolyFit:
 
 def estimate_at(sample: Sample, x: float, h: float, degree: int) -> float:
     """Envelope estimate at a single point (constant coefficient of the fit)."""
-    sol, shift, _ = _solve_window(sample, x, h, degree)
+    sol, shift, _, _ = _solve_window(sample, x, h, degree)
     return float(sol.variables[0] + shift)
 
 

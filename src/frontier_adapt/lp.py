@@ -125,7 +125,8 @@ def _run_simplex(T, basis, n_enterable, tol_rc):
     from entering (used to lock out artificials in phase 2).  Entering
     columns are priced by most negative reduced cost; _STALL_LIMIT
     consecutive degenerate pivots switch the rule to Bland's for the rest of
-    the run, which rules out cycling.  A NaN ratio raises NumericalBreakdown.
+    the run, which rules out cycling.  A NaN reduced cost or ratio raises
+    NumericalBreakdown.
     Returns (status, pivot_count); mutates T and basis in place.
     """
     nrows = T.shape[0] - 1
@@ -136,15 +137,17 @@ def _run_simplex(T, basis, n_enterable, tol_rc):
     bland = False
     stall = 0
     while True:
+        # argmin stops at the first NaN, so rc[j] is NaN if any reduced cost is
+        j = int(rc.argmin())
+        if rc[j] != rc[j]:
+            raise NumericalBreakdown("pricing met a NaN reduced cost")
         if bland:
             entering = np.flatnonzero(rc < -tol_rc)
             if entering.size == 0:
                 return OPTIMAL, pivots
             j = int(entering[0])
-        else:
-            j = int(rc.argmin())
-            if rc[j] >= -tol_rc:
-                return OPTIMAL, pivots
+        elif rc[j] >= -tol_rc:
+            return OPTIMAL, pivots
         col = T[:nrows, j].tolist()
         rhs = rhs_col.tolist()
         # ratios of the rows with a pivot above PIVOT_TOL; the others stay inf
@@ -314,8 +317,15 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     Returns an optimal basic solution when one exists.  Among alternative
     optima the vertex reached by the fixed pivot sequence is returned.
     Raises NumericalBreakdown when pivots degenerate below PIVOT_TOL or the
-    recovered solution fails its own feasibility/duality certificate.
+    recovered solution fails its own feasibility/duality certificate, which
+    rejects a non-finite vertex or value: data near the largest float can
+    overflow in the tableau, and that fails here without a NumPy warning.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _solve_certified(lp)
+
+
+def _solve_certified(lp: LinearProgram) -> LpSolution:
     A = lp.constraint_matrix
     r = lp.constraint_rhs
     c = lp.objective
@@ -330,14 +340,18 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         status = INFEASIBLE if probe_status == "dual_unbounded" else UNBOUNDED
         return LpSolution(np.full(nv, np.nan), np.nan, status, pivots)
 
-    # certificate: feasibility relative to row scale, and no duality gap
+    # certificate: a finite value (so a finite vertex: an inf or NaN in b
+    # makes c . b inf or NaN), feasibility relative to row scale, and no
+    # duality gap
+    value = float(c @ b)
+    if not math.isfinite(value):
+        raise NumericalBreakdown(f"recovered vertex {b} has objective value {value}")
     slack = A @ b - r
     rowscale = np.maximum(1.0, np.abs(A) @ np.abs(b) + np.abs(r))
     worst = (slack / rowscale).min() if slack.size else 0.0
-    if worst < -FEASIBILITY_TOL:
+    if not worst >= -FEASIBILITY_TOL:  # a NaN slack fails too
         raise NumericalBreakdown(f"recovered vertex infeasible (relative {worst:.2e})")
-    value = float(c @ b)
-    if abs(value - dual_value) > 1e-7 * max(1.0, abs(value)):
+    if not abs(value - dual_value) <= 1e-7 * max(1.0, abs(value)):
         raise NumericalBreakdown(
             f"duality gap {value - dual_value:.2e} exceeds tolerance"
         )

@@ -32,8 +32,9 @@ class ErrorModel:
     """One-sided noise distribution.
 
     kinds: negexp(rate) = -Exponential(rate); neggamma(shape) = -Gamma(shape, 1),
-    sharpness alpha = shape at the endpoint; refgamma(lam) = gamma density
-    reflected to the negative axis; neguniform = Uniform[-1, 0], which has
+    sharpness alpha = shape at the endpoint; refgamma(shape) = the gamma
+    density reflected to the negative axis, which is neggamma under its
+    reflected-density name; neguniform = Uniform[-1, 0], which has
     (alpha, scale, log-exponent) = (1, 1, 0) exactly; negweibull(shape);
     zero = no noise.  spatial, if set, maps x to a local shape for neggamma.
     """
@@ -41,7 +42,6 @@ class ErrorModel:
     kind: str
     rate: float = 1.0
     shape: float = 1.0
-    lam: float = 1.0
     spatial: object = None
 
     def __post_init__(self):
@@ -49,10 +49,9 @@ class ErrorModel:
             raise UnknownName(f"unknown error model {self.kind!r}; choose from {ERROR_KINDS}")
         if self.kind == "negexp" and not self.rate > 0.0:
             raise InvalidConfig("negexp rate must be positive")
-        if self.kind in ("neggamma", "negweibull") and self.spatial is None and not self.shape > 0.0:
+        if (self.kind in ("neggamma", "refgamma", "negweibull") and self.spatial is None
+                and not self.shape > 0.0):
             raise InvalidConfig(f"{self.kind} shape must be positive")
-        if self.kind == "refgamma" and not self.lam > 0.0:
-            raise InvalidConfig("refgamma lam must be positive")
         if self.spatial is not None and self.kind != "neggamma":
             raise InvalidConfig("spatial shape maps apply to neggamma only")
 
@@ -64,7 +63,7 @@ def draw_errors(model: ErrorModel, xs, rng) -> np.ndarray:
     k = model.kind
     if k == "negexp":
         return -rng.exponential(1.0 / model.rate, n)
-    if k == "neggamma":
+    if k in ("neggamma", "refgamma"):
         if model.spatial is not None:
             shape = np.asarray(model.spatial(xs), dtype=float)
             if shape.shape != xs.shape or not np.all(shape > 0.0):
@@ -72,10 +71,6 @@ def draw_errors(model: ErrorModel, xs, rng) -> np.ndarray:
         else:
             shape = model.shape
         return -rng.gamma(shape, 1.0, size=n)
-    if k == "refgamma":
-        # the reflected density is the gamma density with negated argument,
-        # so negating standard gamma draws samples it exactly
-        return -rng.gamma(model.lam, 1.0, n)
     if k == "neguniform":
         return rng.uniform(-1.0, 0.0, n)
     if k == "negweibull":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWindow, DomainError, InvalidConfig
-from .local_poly import Sample, check_points, spread_overflows, window_indices
+from .local_poly import Sample, check_points, spread_overflows, window_bounds
 
 INV_ALPHA_CAP = 10.0  # selected 1/alpha capped here (alpha >= 0.1), counted
 _TIE_JITTER = 1e-12   # relative to the window range
@@ -146,8 +146,8 @@ def per_k_inv_alphas(sample: Sample, x: float, grid, m_exponent: float,
     ms = np.zeros(K + 1, dtype=int)
     windows = []
     for k in range(K + 1):
-        idx = window_indices(sample.n, x, grid.bandwidths[k])
-        w = sample.ys[idx]
+        start, stop = window_bounds(sample.n, x, grid.bandwidths[k])
+        w = sample.ys[start:stop]
         windows.append(w)
         if w.size < 3:
             _bump(counters, "tail_k_skipped")
@@ -231,10 +231,15 @@ def estimate_tail_at(sample: Sample, x: float, grid, m_exponent: float,
     )
 
 
-def a_hat(tf, y):
-    """Plug-in tail function A(y) = -(log y)^b * y^(-inv_alpha), y >= e."""
+def a_hat(tail, y):
+    """Plug-in tail function A(y) = -(log y)^b * y^(-inv_alpha), y >= e.
+
+    Reads tail.inv_alpha and tail.b_hat (a TailEstimate or TailFunction).
+    A huge b_hat, as on data of scale 1e300, overflows to inf or NaN quietly.
+    """
     y = np.asarray(y, dtype=float)
     if np.any(y < math.e * (1.0 - 1e-12)):
         raise DomainError("a_hat needs y >= e")
-    val = -(np.log(y) ** tf.b_hat) * y ** (-tf.inv_alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        val = -(np.log(y) ** tail.b_hat) * y ** (-tail.inv_alpha)
     return float(val) if val.ndim == 0 else val

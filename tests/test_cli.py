@@ -106,6 +106,20 @@ def test_missing_input_exits_3(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["estimate", "."], "IsADirectoryError"),
+    (["estimate", "s.csv", "--config", "."], "IsADirectoryError"),
+    (["estimate", "utf16.csv"], "UnicodeDecodeError"),
+])
+def test_unreadable_input_exits_3_without_traceback(tmp_path, argv, error):
+    (tmp_path / "s.csv").write_text("y\n-1\n-2\n-3\n")
+    (tmp_path / "utf16.csv").write_bytes("y\n-1\n-2\n".encode("utf-16"))
+    proc = _run_cli([*argv, "--out", "out.csv"], tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith(f"error[input] {error}:"), proc.stderr
+    assert "Traceback" not in proc.stderr and len(proc.stderr.splitlines()) == 1
+
+
 def test_unknown_error_model_rejected_by_parser(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["simulate", "--f", "f1", "--em", "gauss", "--n", "10",
@@ -255,7 +269,7 @@ def test_threads_only_on_rates(tmp_path):
 # tail reads the grid and order-statistic settings, and simulate the seed.
 _ESTIMATOR_OPTIONS = {"--beta-star", "--h0-exponent", "--rho", "--m-exponent", "--c-beta",
                       "--j-beta"}
-_MODEL_OPTIONS = {"--em", "--rate", "--shape", "--lam", "--alpha-profile", "--f"}
+_MODEL_OPTIONS = {"--em", "--rate", "--shape", "--alpha-profile", "--f"}
 _SUBCOMMAND_OPTIONS = {
     "estimate": {"--config", "--out", "--q"} | _ESTIMATOR_OPTIONS,
     "simulate": {"--config", "--out", "--seed", "--n"} | _MODEL_OPTIONS,
@@ -280,6 +294,7 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     ["tail", "s.csv", "--q", "2"],
     ["estimate", "s.csv", "--seed", "99"],
     ["rates", "--risks-file", "r.csv", "--q", "7"],
+    ["simulate", "--f", "f1", "--em", "refgamma", "--n", "10", "--lam", "2"],
 ])
 def test_option_a_subcommand_does_not_read_exits_2(tmp_path, argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -338,6 +353,37 @@ def test_overflowing_sample_gives_counted_nan(tmp_path):
         counters = json.loads((tmp_path / "fit.diagnostics.json").read_text())["counters"]
         assert nans > 0 and counters.get("lp_failures", 0) > 0
         assert nans <= counters.get("window_too_small", 0) + counters["lp_failures"]
+
+
+@pytest.mark.parametrize("ys", [
+    -1.7e308 * np.random.default_rng(0).uniform(size=50),
+    np.ldexp(-np.random.default_rng(1).exponential(size=40), 1020),
+], ids=["uniform-1.7e308", "exponential-2^1020"])
+def test_sample_near_the_largest_float_gives_counted_nan_without_warnings(tmp_path, ys):
+    (tmp_path / "huge.csv").write_text("y\n" + "".join(f"{float(v)!r}\n" for v in ys))
+    for extra in ([], ["--q", "1"]):
+        proc = _run_cli(["estimate", "huge.csv", *extra, "--out", "fit.csv"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        _, rows = _read_csv(tmp_path / "fit.csv")
+        f_hat = np.array([float(r[1]) for r in rows])
+        counters = json.loads((tmp_path / "fit.diagnostics.json").read_text())["counters"]
+        nans = int(np.isnan(f_hat).sum())
+        assert nans <= counters.get("window_too_small", 0) + counters.get("lp_failures", 0)
+        # every estimate that came back is an envelope value above its datum
+        ok = np.isfinite(f_hat)
+        assert np.all(f_hat[ok] >= ys[ok] - 1e-9 * np.abs(ys[ok]))
+
+
+def test_tail_on_a_huge_scale_writes_no_warning(tmp_path):
+    ys = -1e300 * np.random.default_rng(0).exponential(size=200)
+    (tmp_path / "huge.csv").write_text("y\n" + "".join(f"{float(v)!r}\n" for v in ys))
+    proc = _run_cli(["tail", "huge.csv", "--out", "t.json"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    # b_hat is not scale invariant: here (log y)^b_hat overflows, written as null
+    tail = json.loads((tmp_path / "t.json").read_text())
+    assert tail["b_hat"] > 100.0 and None in tail["a_hat"]["value"]
 
 
 @pytest.mark.parametrize("target", ["point:nan", "point:2", "lq:0"])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frontier_adapt import local_poly
 from frontier_adapt.errors import NumericalBreakdown, WindowTooSmall
 from frontier_adapt.local_poly import (
     Sample,
@@ -17,7 +18,7 @@ from frontier_adapt.local_poly import (
     window_bounds,
     window_indices,
 )
-from frontier_adapt.lp import LinearProgram, solve_lp
+from frontier_adapt.lp import OPTIMAL, LinearProgram, solve_lp
 
 
 def _line_envelope_oracle(xw, yw):
@@ -62,7 +63,7 @@ def test_window_bounds_match_brute_force(n, x, h):
     assert window_indices(n, x, h).tolist() == kept
 
 
-@pytest.mark.parametrize("h", [math.inf, 1e308, np.float64(1e308), 2.0])
+@pytest.mark.parametrize("h", [math.inf, 1e308, np.float64(1e308), 2.0, 3.0, 10.0])
 @pytest.mark.parametrize("degree", [0, 1, 2])
 def test_bandwidth_past_the_design_fits_the_whole_design(h, degree):
     sample = Sample([0.0, 1.0, 2.0, 3.0, 1.0])
@@ -71,6 +72,13 @@ def test_bandwidth_past_the_design_fits_the_whole_design(h, degree):
     assert np.all(np.isfinite(fit.coeffs))
     assert np.all(fit(sample.xs()) >= sample.ys - 1e-9)
     assert estimate_at(sample, 0.5, h, degree) == fit.coeffs[0]
+    # past the design the fit no longer depends on h; a huge h must not
+    # squeeze t to zeros and flatten the fit to a constant
+    wide = fit_local(sample, 0.5, 2.0, degree)
+    assert fit.coeffs.tobytes() == wide.coeffs.tobytes()
+    assert fit.objective_value == wide.objective_value
+    if degree == 1:
+        assert fit.coeffs.tolist() == [1.5, 5.0]
 
 
 @settings(max_examples=50, deadline=None)
@@ -255,3 +263,30 @@ def test_envelope_dominates_window_property(seed):
         return
     fit = fit_local(Sample(ys), x0, h, degree)
     assert np.all(fit((idx + 1) / n) >= ys[idx] - 1e-8)
+
+
+def test_fits_near_the_largest_float_are_finite_or_fail(monkeypatch):
+    # responses spread over 1.7e308 overflow inside the tableau; the solver
+    # must report that as a failure, never as an "optimal" inf/NaN vertex
+    sample = Sample(-1.7e308 * np.random.default_rng(0).uniform(size=50))
+    solutions = []
+
+    def recording_solve(lp):
+        solutions.append(solve_lp(lp))
+        return solutions[-1]
+
+    monkeypatch.setattr(local_poly, "solve_lp", recording_solve)
+    for h in (0.05, 0.1, 0.2, 0.4, 0.8):
+        for x in sample.xs():
+            try:
+                estimate_at(sample, x, h, 2)
+            except (NumericalBreakdown, WindowTooSmall):
+                pass
+    optimal = [sol for sol in solutions if sol.status == OPTIMAL]
+    assert optimal
+    for sol in optimal:
+        assert np.all(np.isfinite(sol.variables)) and np.isfinite(sol.objective_value)
+    # a NaN reduced cost stops the simplex at once instead of at its pivot cap
+    with pytest.raises(NumericalBreakdown) as exc:
+        fit_local(sample, 0.5, 0.2, 2)
+    assert "pivot limit" not in str(exc.value)

@@ -373,3 +373,10 @@ def test_run_simplex_nan_pivot_entry_never_leaves():
     basis = np.array([1, 2])
     assert lp_module._run_simplex(T, basis, 1, 1e-9) == (OPTIMAL, 1)
     assert basis.tolist() == [1, 0]
+
+
+def test_run_simplex_nan_reduced_cost_breaks_down():
+    # argmin picks the NaN column, whose entries would pivot NaN through T
+    T = np.array([[1.0, 1.0, 1.0], [np.nan, -1.0, 0.0]])
+    with pytest.raises(NumericalBreakdown, match="NaN reduced cost"):
+        lp_module._run_simplex(T, np.array([2]), 2, 1e-9)

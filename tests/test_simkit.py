@@ -34,7 +34,7 @@ def test_all_error_models_are_nonpositive():
         ErrorModel("negexp", rate=2.0),
         ErrorModel("neggamma", shape=0.5),
         ErrorModel("neggamma", spatial=lambda x: 1.0 + x),
-        ErrorModel("refgamma", lam=1.5),
+        ErrorModel("refgamma", shape=1.5),
         ErrorModel("neguniform"),
         ErrorModel("negweibull", shape=2.0),
         ErrorModel("zero"),
@@ -64,10 +64,19 @@ def test_negexp_mean_tracks_rate():
 def test_refgamma_matches_reflected_density():
     # CDF on the negative axis is the upper incomplete gamma of the mirror
     rng = np.random.default_rng(3)
-    lam = 1.5
-    draws = draw_errors(ErrorModel("refgamma", lam=lam), np.zeros(100_000), rng)
-    stat = stats.kstest(draws, lambda y: special.gammaincc(lam, -y)).statistic
+    shape = 1.5
+    draws = draw_errors(ErrorModel("refgamma", shape=shape), np.zeros(100_000), rng)
+    stat = stats.kstest(draws, lambda y: special.gammaincc(shape, -y)).statistic
     assert stat < 0.02
+
+
+@pytest.mark.parametrize("shape", [0.5, 1.0, 1.5, 3.0])
+def test_refgamma_draws_are_neggamma_draws(shape):
+    # the reflected gamma density is -Gamma(shape, 1): one draw under two names
+    xs = np.linspace(0.01, 1.0, 500)
+    ref = draw_errors(ErrorModel("refgamma", shape=shape), xs, np.random.default_rng(7))
+    neg = draw_errors(ErrorModel("neggamma", shape=shape), xs, np.random.default_rng(7))
+    assert ref.tobytes() == neg.tobytes()
 
 
 def test_error_model_validation():
@@ -76,7 +85,7 @@ def test_error_model_validation():
     with pytest.raises(InvalidConfig):
         ErrorModel("negexp", rate=0.0)
     with pytest.raises(InvalidConfig):
-        ErrorModel("refgamma", lam=-1.0)
+        ErrorModel("refgamma", shape=-1.0)
     with pytest.raises(InvalidConfig):
         ErrorModel("negexp", spatial=lambda x: x)
     bad = ErrorModel("neggamma", spatial=lambda x: -np.ones_like(x))
