@@ -24,13 +24,13 @@ import time
 import numpy as np
 
 from frontier_adapt.adapt import (
+    EnvelopeRows,
     EstimatorConfig,
     adaptive_estimate,
     build_grid,
     critical_values_lq,
     lepski_select,
 )
-from frontier_adapt.local_poly import estimate_curve
 from frontier_adapt.simkit import ErrorModel, builtin_f, gen_sample, mc_risk, rate_fit
 from frontier_adapt.tail import TailFunction
 
@@ -48,10 +48,7 @@ def oracle_margin(c_beta, reps, seed):
         sample = gen_sample(f, em, n, (seed, r))
         truth = f(sample.xs())
         curves = np.vstack(
-            [
-                estimate_curve(sample, sample.xs(), grid.bandwidths[k], cfg.beta_star)
-                for k in range(grid.K + 1)
-            ]
+            list(EnvelopeRows(sample, sample.xs(), grid.bandwidths[: grid.K + 1], cfg.beta_star))
         )
         losses = np.nanmean(np.abs(curves - truth), axis=1)
         k_hat = lepski_select(curves, cvs, q=1.0)

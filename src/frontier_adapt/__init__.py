@@ -10,6 +10,7 @@ from .adapt import (
     BandwidthGrid,
     CriticalValues,
     Diagnostics,
+    EnvelopeRows,
     EstimatorConfig,
     adaptive_estimate,
     build_grid,
@@ -31,7 +32,7 @@ from .errors import (
     UnknownName,
     WindowTooSmall,
 )
-from .local_poly import PolyFit, Sample, estimate_at, estimate_curve, fit_local, window_indices
+from .local_poly import PolyFit, Sample, estimate_at, fit_local, window_indices
 from .lp import LinearProgram, LpSolution, solve_lp
 from .simkit import (
     ErrorModel,
@@ -80,7 +81,7 @@ __all__ = [
     "PolyFit",
     "Sample",
     "estimate_at",
-    "estimate_curve",
+    "EnvelopeRows",
     "fit_local",
     "window_indices",
     "LinearProgram",

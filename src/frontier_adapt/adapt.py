@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateWindow, DomainError, InvalidConfig, NumericalBreakdown, WindowTooSmall
+from .errors import DegenerateWindow, DomainError, InvalidConfig, NumericalBreakdown
 from .local_poly import Sample, check_points, estimate_at, window_bounds
 from .tail import _bump, a_hat, estimate_tail_at, first_drift
 
@@ -194,7 +194,7 @@ def lepski_select(estimates, cvs: CriticalValues, q: float | None = None) -> int
     (q = None), or a per-k curve for empirical L_q selection, where the norm
     averages |difference|^q over the points where both curves are defined.
     Only rows k <= min(k_hat + 1, K) are read, so estimates may be rows
-    fitted on first access (see _LazyRows) as well as an array.
+    fitted on first access (see EnvelopeRows) as well as an array.
     """
     zt = cvs.truncated
     K = zt.size - 1
@@ -228,27 +228,49 @@ def lepski_select(estimates, cvs: CriticalValues, q: float | None = None) -> int
     return first_drift(K, distance, lambda k, l: zt[l] + zt[k + 1])
 
 
-class _LazyRows:
-    """Rows k = 0..K of per-bandwidth estimates, fitted on first access.
+class EnvelopeRows:
+    """Envelope estimates at points, one row per bandwidth, fitted lazily.
 
-    Reading row k fits every missing row below it first, so the fits (and the
-    counters they bump) run in the order of a full k = 0..K sweep.
+    Reading row k fits every missing row below it first, so the fits, and
+    the counters they bump, run in the order of a full sweep.  No point
+    raises: a window of m < 2 points gives NaN (window_too_small), the degree
+    is lowered to min(beta_star, m - 2) (degree_lowered), and an LP failure
+    gives NaN (lp_failures).
     """
 
-    def __init__(self, K, fit_row):
-        self._K = K
-        self._fit_row = fit_row
+    def __init__(self, sample, points, bandwidths, beta_star, counters=None):
+        self._sample = sample
+        self._points = points
+        self._bandwidths = bandwidths
+        self._beta_star = beta_star
+        self._counters = counters
         self._rows = []
 
     def __len__(self):
-        return self._K + 1
+        return len(self._bandwidths)
 
     def __getitem__(self, k):
-        if not 0 <= k <= self._K:
+        if not 0 <= k < len(self):
             raise IndexError(k)
         while len(self._rows) <= k:
-            self._rows.append(self._fit_row(len(self._rows)))
+            h = self._bandwidths[len(self._rows)]
+            self._rows.append(np.array([self._fit(xp, h) for xp in self._points]))
         return self._rows[k]
+
+    def _fit(self, xp, h):
+        start, stop = window_bounds(self._sample.n, xp, h)
+        m = stop - start
+        if m < 2:
+            _bump(self._counters, "window_too_small")
+            return np.nan
+        degree = min(self._beta_star, m - 2)
+        if degree < self._beta_star:
+            _bump(self._counters, "degree_lowered")
+        try:
+            return estimate_at(self._sample, xp, h, degree)
+        except NumericalBreakdown:
+            _bump(self._counters, "lp_failures")
+            return np.nan
 
 
 @dataclass
@@ -276,32 +298,6 @@ class Diagnostics:
     warnings: list = field(default_factory=list)
 
 
-def _estimate_with_fallback(sample, xp, h, beta_star, counters):
-    """Envelope estimate with the degree lowered to fit small windows."""
-    start, stop = window_bounds(sample.n, xp, h)
-    nw = stop - start
-    if nw < 2:
-        _bump(counters, "window_too_small")
-        return np.nan
-    degree = min(beta_star, nw - 2)
-    if degree < beta_star:
-        _bump(counters, "degree_lowered")
-    try:
-        return estimate_at(sample, xp, h, degree)
-    except WindowTooSmall:
-        _bump(counters, "window_too_small")
-        return np.nan
-    except NumericalBreakdown:
-        _bump(counters, "lp_failures")
-        return np.nan
-
-
-def _fit_row(sample, points, h, beta_star, counters):
-    """Envelope estimates at points with bandwidth h; failed points are NaN."""
-    return np.array([_estimate_with_fallback(sample, xp, h, beta_star, counters)
-                     for xp in points])
-
-
 def _select_site(sample, cfg, grid, x_tail, fit_points, counters):
     """One selection site: tail parameters at x_tail, critical values for
     cfg.q, per-k estimates at fit_points and the Lepski index over them.
@@ -322,13 +318,12 @@ def _select_site(sample, cfg, grid, x_tail, fit_points, counters):
     else:
         cvs = critical_values_lq(grid, te, cfg.q, cfg)
 
-    rows = _LazyRows(grid.K, lambda k: _fit_row(sample, fit_points, grid.bandwidths[k],
-                                                 cfg.beta_star, counters))
+    rows = EnvelopeRows(sample, fit_points, grid.bandwidths[: grid.K + 1], cfg.beta_star, counters)
     if cfg.q is None:
         # every row, not only k <= k_hat + 1: the benchmark's seed-0 reference
         # counts an lp_failure from a fit above k_hat + 1, so pointwise rows
         # stay eager until that reference is regenerated
-        k_hat = lepski_select([rows[k][0] for k in range(grid.K + 1)], cvs)
+        k_hat = lepski_select([row[0] for row in rows], cvs)
     else:
         k_hat = lepski_select(rows, cvs, q=cfg.q)
     # rows 0..k_hat, fitting row k_hat if the selection did not read it (K = 0)
@@ -388,7 +383,8 @@ def adaptive_estimate(sample: Sample, cfg: EstimatorConfig, x=None, grid=None):
         elif x is None and pts.size == sample.n and np.allclose(pts, fit_points, atol=1e-12):
             values = ests[k_hat].copy()
         else:
-            values = _fit_row(sample, pts, bgrid.bandwidths[k_hat], cfg.beta_star, counters)
+            h = bgrid.bandwidths[k_hat]
+            values = EnvelopeRows(sample, pts, [h], cfg.beta_star, counters)[0]
         k_hats[i] = k_hat
         if te is not None:
             alphas[i] = 1.0 / te.inv_alpha

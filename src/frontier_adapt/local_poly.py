@@ -169,14 +169,3 @@ def estimate_at(sample: Sample, x: float, h: float, degree: int) -> float:
     sol, shift, _, _ = _solve_window(sample, x, h, degree)
     return float(sol.variables[0] + shift)
 
-
-def estimate_curve(sample: Sample, grid, h: float, degree: int) -> np.ndarray:
-    """Envelope estimates over a grid; windows too small give NaN entries."""
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    out = np.full(grid.size, np.nan)
-    for i, x in enumerate(grid):
-        try:
-            out[i] = estimate_at(sample, x, h, degree)
-        except WindowTooSmall:
-            pass
-    return out

@@ -330,6 +330,11 @@ def _solve_certified(lp: LinearProgram) -> LpSolution:
     r = lp.constraint_rhs
     c = lp.objective
     nv = lp.n_variables
+    if not r.size:
+        # no constraint: b = 0 is optimal for c = 0, any other c is unbounded
+        if c.any():
+            return LpSolution(np.full(nv, np.nan), np.nan, UNBOUNDED, 0)
+        return LpSolution(np.zeros(nv), 0.0, OPTIMAL, 0)
 
     status, b, dual_value, pivots = _solve_via_dual(A, r, c)
     if status == "dual_unbounded":

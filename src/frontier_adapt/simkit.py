@@ -212,7 +212,7 @@ def mc_risk(f, em: ErrorModel, cfg: EstimatorConfig, n: int, reps: int, target, 
         # only the L_q loss can get here: a squared point loss is a finite float
         raise DegenerateInput(f"the loss |f_hat - f|^q overflows a float at q={target[1]!r}")
     risk = float(arr.mean())
-    stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
+    stderr = float(arr.std(ddof=1) / math.sqrt(arr.size))  # reps >= 2 and <= 5% dropped
     return risk, stderr
 
 
@@ -245,12 +245,12 @@ def rate_fit(n_values, risks, stderrs=None) -> RiskReport:
     lr = np.log(rs)
     xc = ls - ls.mean()
     sxx = float(xc @ xc)
-    if sxx <= 0.0:
+    if sxx <= 0.0:  # distinct large n can share a log
         raise DegenerateInput("log(n) values are degenerate")
     slope = float(xc @ (lr - lr.mean())) / sxx
     resid = lr - lr.mean() - slope * xc
     dof = ns.size - 2
-    se = math.sqrt(max(float(resid @ resid), 0.0) / dof / sxx) if dof > 0 else 0.0
+    se = math.sqrt(max(float(resid @ resid), 0.0) / dof / sxx)  # 3 distinct n: dof >= 1
     errs = list(np.asarray(stderrs, dtype=float)) if stderrs is not None else [0.0] * ns.size
     if len(errs) != ns.size:
         raise DegenerateInput("stderrs length must match n_values")

@@ -58,18 +58,21 @@ def _order_desc(window_ys, counters=None):
 
     Tied values are pushed apart by a jitter of _TIE_JITTER * range * rank so
     downstream log-gap formulas stay finite; the number of tied pairs is
-    counted.  Raises DegenerateWindow when every value is identical.
+    counted.  Raises DegenerateWindow when all values tie or the jitter overflows.
     """
     w = np.sort(np.asarray(window_ys, dtype=float))[::-1]
     if w.size == 0:
         raise DegenerateWindow("empty window")
-    ties = int(np.count_nonzero(np.diff(w) == 0.0))
+    ties = int(np.count_nonzero(w[1:] == w[:-1]))  # np.diff can overflow
     if ties:
-        rng = w[0] - w[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rng = w[0] - w[-1]
+            w = w - (_TIE_JITTER * rng) * np.arange(w.size)
         if rng <= 0.0:
             raise DegenerateWindow("all window values identical")
+        if not math.isfinite(w[-1]):  # the lowest value, with the largest jitter
+            raise DegenerateWindow("the window's range or tie jitter overflows")
         _bump(counters, "ties_jittered", ties)
-        w = w - (_TIE_JITTER * rng) * np.arange(w.size)
     return w
 
 
@@ -92,7 +95,10 @@ def neg_hill_inv_alpha(window_ys, m: int, counters=None) -> float:
     gaps = top - w[1 : m - 1]
     if span <= 0.0 or np.any(gaps <= 0.0):
         raise DegenerateWindow("zero gap between top order statistics")
-    inv_alpha = float(np.sum(np.log(span / gaps)) / m)
+    with np.errstate(over="ignore"):  # a gap far below the span overflows span / gaps
+        inv_alpha = float(np.sum(np.log(span / gaps)) / m)
+    if not math.isfinite(inv_alpha):
+        raise DegenerateWindow("non-finite 1/alpha estimate")
     if inv_alpha <= 0.0:
         # Y_(2..m) tie: the jitter vanished in rounding next to a large level
         raise DegenerateWindow("tied order statistics below the maximum")

@@ -12,6 +12,7 @@ import numpy as np
 
 from frontier_adapt import (
     CriticalValues,
+    EnvelopeRows,
     EstimatorConfig,
     ErrorModel,
     Sample,
@@ -21,7 +22,6 @@ from frontier_adapt import (
     builtin_f,
     draw_errors,
     estimate_b,
-    estimate_curve,
     fit_local,
     gen_sample,
     iu_n,
@@ -255,8 +255,8 @@ def test_c10_adaptive_risk_tracks_best_fixed_bandwidth():
     adaptive = np.empty(100)
     for r in range(100):
         sample = gen_sample(f, em, n, (0, r))
-        for k in range(grid.K + 1):
-            curve = estimate_curve(sample, xs, grid.bandwidths[k], cfg.beta_star)
+        rows = EnvelopeRows(sample, xs, grid.bandwidths[: grid.K + 1], cfg.beta_star)
+        for k, curve in enumerate(rows):
             fixed[r, k] = float(np.nanmean(np.abs(curve - truth)))
         values, _ = adaptive_estimate(sample, EstimatorConfig(q=1.0), grid=xs)
         mask = np.isfinite(values)

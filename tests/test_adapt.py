@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frontier_adapt import adapt
+from frontier_adapt import adapt, local_poly
 from frontier_adapt.adapt import (
     DEFAULT_J_BETA,
     CriticalValues,
+    EnvelopeRows,
     EstimatorConfig,
     _truncate_monotonize,
     adaptive_estimate,
@@ -22,6 +23,7 @@ from frontier_adapt.adapt import (
     lepski_select,
 )
 from frontier_adapt.errors import DomainError, InvalidConfig
+from frontier_adapt.local_poly import Sample
 from frontier_adapt.simkit import ERROR_KINDS, ErrorModel, builtin_f, gen_sample
 from frontier_adapt.tail import TailFunction, estimate_tail_at
 
@@ -308,6 +310,48 @@ def test_pointwise_selection_still_fits_every_row(monkeypatch):
     assert len(hs) == 2 * (K + 1)
 
 
+def test_envelope_rows_failure_rule():
+    # windows of 1, 3 and 2 points: NaN, a degree-1 fit and a degree-0 fit
+    counters = {}
+    rows = EnvelopeRows(Sample(np.zeros(30)), [0.01, 0.5, 0.99], [0.05], 1, counters)
+    assert len(rows) == 1
+    row = rows[0]
+    assert np.isnan(row[0]) and row[1:].tolist() == [0.0, 0.0]
+    assert counters == {"window_too_small": 1, "degree_lowered": 1}
+    with pytest.raises(IndexError):
+        rows[1]
+    empty = EnvelopeRows(Sample(np.zeros(30)), [], [0.1, 0.2], 1, counters)
+    assert len(empty) == 2 and empty[1].shape == (0,)
+    # responses spread over 1.7e308 overflow in most LPs; each failure is a
+    # counted NaN, never an exception
+    sample = Sample(-1.7e308 * np.random.default_rng(0).uniform(size=50))
+    counters = {}
+    values = np.array(list(EnvelopeRows(sample, sample.xs(), [0.05, 0.1, 0.2, 0.4, 0.8], 2,
+                                        counters)))
+    assert values.shape == (5, 50) and counters["lp_failures"] > 0
+    assert np.isnan(values).sum() == counters.get("window_too_small", 0) + counters["lp_failures"]
+
+
+def test_envelope_rows_are_fitted_lazily_in_order(monkeypatch):
+    hs = _count_fits(monkeypatch)
+    sample = gen_sample(builtin_f("f2"), ErrorModel("negexp"), 100, seed=0)
+    points = sample.xs()[::9]
+    bandwidths = np.array([0.1, 0.2, 0.4])
+    counters = {}
+    rows = EnvelopeRows(sample, points, bandwidths, 2, counters)
+    assert hs == []
+    second = rows[1]
+    assert hs == [0.1] * points.size + [0.2] * points.size
+    assert rows[0] is rows[0] and rows[1] is second
+    assert len(hs) == 2 * points.size
+    # every window holds at least 11 points, so the degree stays at 2 and each
+    # row is the per-point estimate bit for bit
+    for h, row in zip(bandwidths, rows):
+        expected = np.array([local_poly.estimate_at(sample, x, h, 2) for x in points])
+        assert row.tobytes() == expected.tobytes()
+    assert len(hs) == 3 * points.size and counters == {}
+
+
 def test_h0_exponent_warning_surfaces_in_diagnostics():
     sample = gen_sample(builtin_f("const"), ErrorModel("negexp"), 60, seed=3)
     _, diag = adaptive_estimate(sample, EstimatorConfig(h0_exponent=0.5), x=0.5)
@@ -332,8 +376,6 @@ def test_shift_invariance_of_adaptive_curve():
     sample = gen_sample(f2, ErrorModel("negexp"), 150, seed=5)
     pts = np.linspace(0.2, 0.8, 5)
     vals, diag = adaptive_estimate(sample, EstimatorConfig(), grid=pts)
-    from frontier_adapt.local_poly import Sample
-
     shifted = Sample(sample.ys + 5.0)
     vals2, diag2 = adaptive_estimate(shifted, EstimatorConfig(), grid=pts)
     np.testing.assert_allclose(vals2, vals + 5.0, rtol=0, atol=1e-9)

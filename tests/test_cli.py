@@ -1,16 +1,23 @@
 """CLI contract: subcommands, file formats, exit codes, reproducibility."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frontier_adapt.cli import _build_parser, main
 
@@ -373,6 +380,67 @@ def test_sample_near_the_largest_float_gives_counted_nan_without_warnings(tmp_pa
         # every estimate that came back is an envelope value above its datum
         ok = np.isfinite(f_hat)
         assert np.all(f_hat[ok] >= ys[ok] - 1e-9 * np.abs(ys[ok]))
+
+
+@pytest.mark.parametrize("ys", [
+    "1e308,-1e308,0,0,-1,-2,-3,-4",
+    "4.94980235563709e16,-4.43714358588106e16,1,0,1e-300,1e-300,0,-4.43714358588106e16,"
+    "-9.433840340363874e-79,1e-300,-5.393380182549928e237",
+], ids=["tied-range-overflows", "span-over-gap-overflows"])
+def test_overflowing_tail_window_exits_0_without_warnings(tmp_path, capsys, ys):
+    (tmp_path / "s.csv").write_text(ys.replace(",", "\n") + "\n")
+    for extra in ([], ["--q", "1"]):
+        code = main(["estimate", str(tmp_path / "s.csv"), *extra,
+                     "--out", str(tmp_path / "fit.csv")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
+
+@st.composite
+def _hostile_csv(draw):
+    """(CSV text, y values) with a wrong, missing or reordered header, 0-40
+    rows, tied or constant y, extreme or non-finite values and reversed x."""
+    header = draw(st.sampled_from(["x,y", "X,Y", "y", None, None, "y,x", "a,b", "x"]))
+    two_columns = header in ("x,y", "X,Y", "y,x", "a,b") or (header is None and draw(st.booleans()))
+    n = draw(st.integers(0, 40))
+    value = st.one_of(st.floats(-10.0, 10.0), st.integers(-3, 3).map(float),
+                      st.sampled_from([1e308, -1e308, 5e-324, -5e-324]))
+    if draw(st.booleans()):
+        ys = [draw(value)] * n
+    else:
+        ys = draw(st.lists(value, min_size=n, max_size=n))
+    if n and draw(st.integers(0, 3)) == 0:
+        ys[draw(st.integers(0, n - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    xs = [j / n for j in range(1, n + 1)]
+    if draw(st.integers(0, 3)) == 0:
+        xs.reverse()
+    rows = [f"{x!r},{y!r}" if two_columns else repr(y) for x, y in zip(xs, ys)]
+    return "\n".join(([header] if header else []) + rows) + "\n", ys
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_hostile_csv(), q=st.sampled_from([[], ["--q", "1"]]))
+def test_estimate_on_hostile_csv_exits_cleanly(case, q):
+    text, ys = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["estimate", path, *q, "--out", os.path.join(tmp, "fit.csv")])
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert not caught, [str(w.message) for w in caught]
+        if code != 0:
+            return
+        assert err.getvalue() == ""
+        _, rows = _read_csv(os.path.join(tmp, "fit.csv"))
+    f_hat = np.array([float(r[1]) for r in rows])
+    y = np.array(ys)
+    ok = np.isfinite(f_hat)
+    assert np.all(f_hat[ok] >= y[ok] - 1e-9 * max(1.0, float(np.abs(y).max())))
 
 
 def test_tail_on_a_huge_scale_writes_no_warning(tmp_path):

@@ -12,7 +12,6 @@ from frontier_adapt.errors import NumericalBreakdown, WindowTooSmall
 from frontier_adapt.local_poly import (
     Sample,
     estimate_at,
-    estimate_curve,
     fit_local,
     spread_overflows,
     window_bounds,
@@ -238,15 +237,6 @@ def test_fit_matches_vandermonde_reference_bitwise(degree):
         assert fit.coeffs.tobytes() == coeffs.tobytes()
         estimate = estimate_at(sample, x, h, degree)
         assert np.float64(estimate).tobytes() == fit.coeffs[:1].tobytes()
-
-
-def test_estimate_curve_nan_and_empty():
-    sample = Sample(np.zeros(30))
-    grid = np.array([0.01, 0.5, 0.99])
-    out = estimate_curve(sample, grid, 0.05, 1)
-    assert np.isnan(out[0]) and np.isnan(out[2])
-    assert out[1] == pytest.approx(0.0, abs=1e-9)
-    assert estimate_curve(sample, [], 0.1, 1).size == 0
 
 
 @settings(max_examples=30, deadline=None)

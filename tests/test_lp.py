@@ -59,6 +59,23 @@ def test_infeasible_two_vars():
     assert solve_lp(lp).status == INFEASIBLE
 
 
+@pytest.mark.parametrize("objective", [[1.0], [0.0, -2.0]])
+def test_no_constraints_nonzero_objective_is_unbounded(objective):
+    lp = LinearProgram(objective, np.zeros((0, len(objective))), [])
+    sol = solve_lp(lp)
+    assert sol.status == UNBOUNDED
+    assert np.all(np.isnan(sol.variables)) and sol.variables.size == len(objective)
+    assert np.isnan(sol.objective_value)
+
+
+@pytest.mark.parametrize("nv", [1, 2])
+def test_no_constraints_zero_objective_is_optimal_at_zero(nv):
+    sol = solve_lp(LinearProgram(np.zeros(nv), np.zeros((0, nv)), []))
+    assert sol.status == OPTIMAL
+    assert sol.variables.tolist() == [0.0] * nv
+    assert sol.objective_value == 0.0
+
+
 def test_determinism_bitwise():
     rng = np.random.default_rng(7)
     lp = random_bounded_lp(rng)

@@ -324,3 +324,16 @@ def test_non_finite_b_estimate_is_degenerate(n_bar, inv_alpha):
     w = -np.arange(float(n_bar))
     with pytest.raises(DegenerateWindow, match="non-finite"):
         estimate_b(w, 3, inv_alpha)
+
+
+@pytest.mark.parametrize("w", [
+    [1e308, -1e308, 0.0, 0.0],              # the range of a tied window overflows
+    [1e308, 1e308, -1e308],                 # so does a difference of neighbours
+    [0.0, -1.7976931348623157e308] * 2,     # the tie jitter pushes past -max
+    [1e-300, 0.0, -1e10],                   # span / gaps overflows
+], ids=["range", "neighbours", "jitter", "span-over-gap"])
+def test_overflowing_tail_intermediate_is_degenerate(w):
+    counters = {}
+    with pytest.raises(DegenerateWindow, match="overflow|non-finite"):
+        neg_hill_inv_alpha(w, 3, counters)
+    assert counters == {}
