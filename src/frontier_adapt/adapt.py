@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateWindow, DomainError, InvalidConfig, NumericalBreakdown
-from .local_poly import Sample, check_points, estimate_at, window_bounds
+from .local_poly import Sample, check_points, estimate_at, estimate_windows, window_bounds
 from .tail import _bump, a_hat, estimate_tail_at, first_drift
 
 # Calibrated defaults for the critical-value constants.  The theory only
@@ -236,6 +236,13 @@ class EnvelopeRows:
     raises: a window of m < 2 points gives NaN (window_too_small), the degree
     is lowered to min(beta_star, m - 2) (degree_lowered), and an LP failure
     gives NaN (lp_failures).
+
+    A row's interior, its points whose windows hold the row's most common
+    size m at the full degree, is fitted in lockstep by estimate_windows
+    when it has two points or more; every other point, and each interior
+    point that the batch leaves unsolved, is fitted by estimate_at.  The
+    values are the same bit for bit either way.  fallbacks counts the
+    interior points left to estimate_at.
     """
 
     def __init__(self, sample, points, bandwidths, beta_star, counters=None):
@@ -245,6 +252,11 @@ class EnvelopeRows:
         self._beta_star = beta_star
         self._counters = counters
         self._rows = []
+        self._fallbacks = 0
+
+    @property
+    def fallbacks(self):
+        return self._fallbacks
 
     def __len__(self):
         return len(self._bandwidths)
@@ -253,9 +265,30 @@ class EnvelopeRows:
         if not 0 <= k < len(self):
             raise IndexError(k)
         while len(self._rows) <= k:
-            h = self._bandwidths[len(self._rows)]
-            self._rows.append(np.array([self._fit(xp, h) for xp in self._points]))
+            self._rows.append(self._fit_row(self._bandwidths[len(self._rows)]))
         return self._rows[k]
+
+    def _fit_row(self, h):
+        if len(self._points) < 2:  # no interior to batch, as at a pointwise site
+            return np.array([self._fit(xp, h) for xp in self._points])
+        points = np.asarray(self._points, dtype=float)
+        row = np.full(points.size, np.nan)
+        fitted = np.zeros(points.size, dtype=bool)
+        bounds = np.array([window_bounds(self._sample.n, xp, h) for xp in points], dtype=np.intp)
+        sizes = bounds[:, 1] - bounds[:, 0]
+        m = int(np.bincount(sizes).argmax())
+        interior = np.flatnonzero(sizes == m)
+        if interior.size >= 2 and m >= self._beta_star + 2:
+            values, _, solved = estimate_windows(
+                self._sample, points[interior], bounds[interior, 0], m, h, self._beta_star)
+            row[interior] = values
+            fitted[interior] = solved
+            self._fallbacks += int(interior.size - solved.sum())
+        # the other points in order, so the counters bump as in a sweep of
+        # per-point fits: a solved interior point bumps none
+        for i in np.flatnonzero(~fitted):
+            row[i] = self._fit(self._points[i], h)
+        return row
 
     def _fit(self, xp, h):
         start, stop = window_bounds(self._sample.n, xp, h)

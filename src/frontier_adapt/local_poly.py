@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, NumericalBreakdown, WindowTooSmall
-from .lp import OPTIMAL, LinearProgram, solve_lp
+from .lp import OPTIMAL, _unchecked_lp, batch_size, solve_lp, solve_lp_batch
 
 _FLOAT_MAX = float(np.finfo(float).max)
 
@@ -130,12 +130,7 @@ def _solve_window(sample: Sample, x: float, h: float, degree: int):
     powers[:, 0] = 1.0
     for j in range(1, degree + 1):
         np.multiply(powers[:, j - 1], t, out=powers[:, j])
-    lp = LinearProgram(
-        objective=powers.sum(axis=0),
-        constraint_matrix=powers,
-        constraint_rhs=yw - shift,
-    )
-    sol = solve_lp(lp)
+    sol = solve_lp(_unchecked_lp(powers.sum(axis=0), powers, yw - shift))
     if sol.status != OPTIMAL:
         # feasible by construction (raising the constant term clears all
         # constraints) and bounded below by sum(yw), so anything else is
@@ -169,3 +164,51 @@ def estimate_at(sample: Sample, x: float, h: float, degree: int) -> float:
     sol, shift, _, _ = _solve_window(sample, x, h, degree)
     return float(sol.variables[0] + shift)
 
+
+def estimate_windows(sample: Sample, xs, starts, meff: int, h: float, degree: int):
+    """Envelope estimates at points xs whose windows all hold meff points.
+
+    The window of xs[i] starts at the zero-based design index starts[i]; the
+    caller has it from window_bounds, with meff >= degree + 2.  The LPs are
+    built as _solve_window builds them, one array operation for all points,
+    and solved in lockstep batches of lp.batch_size.  Returns (values,
+    iterations, solved).  Where solved, values[i] is estimate_at(sample,
+    xs[i], h, degree) bit for bit and iterations[i] counts its LP's pivots;
+    elsewhere values[i] is NaN, and estimate_at gives the value or raises
+    NumericalBreakdown.  A window whose responses overflow when shifted is
+    not solved.
+    """
+    xs = np.asarray(xs, dtype=float)
+    starts = np.asarray(starts, dtype=np.intp)
+    values = np.full(xs.size, np.nan)
+    iterations = np.zeros(xs.size, dtype=int)
+    solved = np.zeros(xs.size, dtype=bool)
+    step = batch_size(meff, degree + 1)
+    for lo in range(0, xs.size, step):
+        idx = np.arange(lo, min(lo + step, xs.size))
+        fits, powers, rhs, shift = _window_lps(sample, xs[idx], starts[idx], meff, h, degree)
+        idx = idx[fits]
+        b, iterations[idx], solved[idx] = solve_lp_batch(powers, rhs, powers.sum(axis=1))
+        values[idx] = b[:, 0] + shift
+    return values, iterations, solved
+
+
+def _window_lps(sample, xs, starts, meff, h, degree):
+    """The envelope LPs that _solve_window builds at xs, stacked.
+
+    Returns (fits, powers, rhs, shift): fits marks the points whose shifted
+    responses do not overflow, and the rest holds their LPs alone.
+    """
+    yw = sample.ys[starts[:, None] + np.arange(meff)]
+    shift = yw.max(axis=1)
+    fits = np.array([not spread_overflows(top, bottom)
+                     for top, bottom in zip(shift.tolist(), yw.min(axis=1).tolist())], dtype=bool)
+    if not fits.all():
+        xs, starts, yw, shift = xs[fits], starts[fits], yw[fits], shift[fits]
+    t = (starts[:, None] + np.arange(1, meff + 1)) / sample.n - xs[:, None]
+    t /= min(h, 2.0)
+    powers = np.empty((xs.size, meff, degree + 1))
+    powers[:, :, 0] = 1.0
+    for j in range(1, degree + 1):
+        np.multiply(powers[:, :, j - 1], t, out=powers[:, :, j])
+    return fits, powers, yw - shift[:, None], shift

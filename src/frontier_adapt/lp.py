@@ -58,6 +58,7 @@ PIVOT_TOL = 1e-12        # pivot magnitudes below this raise NumericalBreakdown
 _MAX_PIVOT_FACTOR = 200  # safety cap: pivots <= factor * (rows + cols)
 _STALL_LIMIT = 30        # consecutive degenerate pivots before Bland's rule
 PHASE1_MEMO_BYTES = 1 << 20  # cap on the phase-1 memo's keys and tableaux
+BATCH_TABLEAU_BYTES = 3 << 17  # cap on the tableaux of one lockstep batch (384 KiB)
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,17 @@ class LinearProgram:
     @property
     def n_variables(self) -> int:
         return self.objective.size
+
+
+def _unchecked_lp(objective, constraint_matrix, constraint_rhs):
+    """A LinearProgram of float arrays that its caller built and checked:
+    finite, of shapes (nv,), (m, nv) and (m,).  It skips the copies and the
+    finiteness passes of LinearProgram's validation."""
+    lp = object.__new__(LinearProgram)
+    object.__setattr__(lp, "objective", objective)
+    object.__setattr__(lp, "constraint_matrix", constraint_matrix)
+    object.__setattr__(lp, "constraint_rhs", constraint_rhs)
+    return lp
 
 
 @dataclass(frozen=True)
@@ -218,11 +230,18 @@ def _phase1(A, c):
     if -T[-1, -1] > 1e-7 * cscale:
         return None, None, pivots
 
-    # drive zero-level artificials out of the basis: left in, they corrupt
-    # phase 2's unboundedness test (their rows admit no positive pivot).
-    # a row with no real-column entry is a redundant constraint; its noise
-    # is clamped so it stays inert.
-    for i in range(nv):
+    return T, basis, pivots + _drive_out(T, basis, m)
+
+
+def _drive_out(T, basis, m):
+    """Drive the zero-level artificials out of a phase-1 optimal basis.
+
+    Left in, they corrupt phase 2's unboundedness test (their rows admit no
+    positive pivot).  A row with no real-column entry is a redundant
+    constraint; its noise is clamped so it stays inert.  Returns the pivots.
+    """
+    pivots = 0
+    for i in range(T.shape[0] - 1):
         if basis[i] < m:
             continue
         row = T[i, :m]
@@ -232,7 +251,7 @@ def _phase1(A, c):
             pivots += 1
         else:
             T[i, :m][np.abs(row) <= PIVOT_TOL] = 0.0
-    return T, basis, pivots
+    return pivots
 
 
 class _Phase1Memo:
@@ -345,9 +364,16 @@ def _solve_certified(lp: LinearProgram) -> LpSolution:
         status = INFEASIBLE if probe_status == "dual_unbounded" else UNBOUNDED
         return LpSolution(np.full(nv, np.nan), np.nan, status, pivots)
 
-    # certificate: a finite value (so a finite vertex: an inf or NaN in b
-    # makes c . b inf or NaN), feasibility relative to row scale, and no
-    # duality gap
+    return LpSolution(b, _certify(A, r, c, b, dual_value), OPTIMAL, pivots)
+
+
+def _certify(A, r, c, b, dual_value):
+    """c . b once b passes the certificate, else NumericalBreakdown.
+
+    The certificate: a finite value (so a finite vertex: an inf or NaN in b
+    makes c . b inf or NaN), feasibility relative to row scale, and no
+    duality gap.
+    """
     value = float(c @ b)
     if not math.isfinite(value):
         raise NumericalBreakdown(f"recovered vertex {b} has objective value {value}")
@@ -360,4 +386,169 @@ def _solve_certified(lp: LinearProgram) -> LpSolution:
         raise NumericalBreakdown(
             f"duality gap {value - dual_value:.2e} exceeds tolerance"
         )
-    return LpSolution(b, value, OPTIMAL, pivots)
+    return value
+
+
+def _run_lockstep(T, basis, owner, n_enterable, tol_rc, pivots, live):
+    """_run_simplex on the tableau of every live problem, in lockstep.
+
+    T[i] and basis[i] hold problem owner[i]'s tableau and basis.  Each live
+    problem's tableau gets the pivots _run_simplex would make on it under
+    Dantzig pricing, with the same products, and ends optimal.  A problem
+    whose tableau would go on to Bland's rule, or would meet a NaN, an
+    infinite ratio, no pivot candidate or the pivot cap, is dropped: live[p]
+    is cleared and its tableau is left part-way.  Adds each problem's pivots
+    to pivots[p].  The pivots run on a prefix of T that shrinks as tableaux
+    finish: a finished one swaps places with a working one behind it, so T,
+    basis and owner end permuted alike.
+    """
+    P, nrows, width = T.shape[0], T.shape[1] - 1, T.shape[2]
+    max_pivots = _MAX_PIVOT_FACTOR * (width + nrows)
+    stall = np.zeros(P, dtype=int)
+    count = np.zeros(P, dtype=int)
+    ratios = np.empty((P, nrows))
+    update = np.empty((P, width))
+    k = _keep_in_front(live[owner], P, (T, basis, owner))
+    while k:
+        W, Wb, tol, p = T[:k], basis[:k], tol_rc[owner[:k]], np.arange(k)
+        rc = W[:, -1, :n_enterable]
+        j = rc.argmin(axis=1)
+        rcj = rc[p, j]
+        # NaN fails both tests: argmin stops at the first NaN
+        done = rcj >= -tol
+        drop = ~done & ~(rcj < -tol)
+        # the ratios of the rows with a pivot above PIVOT_TOL, the others inf;
+        # an infinite or NaN minimum (no candidate among them) drops the tableau
+        col = W[p, :nrows, j]
+        ratios[:k].fill(math.inf)
+        np.divide(W[:, :nrows, -1], col, out=ratios[:k], where=col > PIVOT_TOL)
+        rmin = ratios[:k].min(axis=1)
+        band = rmin + 1e-9 * (1.0 + np.abs(rmin))
+        leave = np.where(ratios[:k] <= band[:, None], Wb, width).argmin(axis=1)
+        stall[:k] = np.where(rmin <= 0.0, stall[:k] + 1, 0)
+        drop |= ~done & (~np.isfinite(rmin) | (stall[:k] > _STALL_LIMIT)
+                         | (count[:k] >= max_pivots))
+        if done.any() or drop.any():
+            pivots[owner[:k][done]] += count[:k][done]
+            live[owner[:k][drop]] = False
+            k = _keep_in_front(~(done | drop), k, (T, basis, owner, stall, count, j, leave))
+            W, Wb, p, j, leave = T[:k], basis[:k], p[:k], j[:k], leave[:k]
+        # _pivot on every tableau: the pivot row divided, then each row less
+        # its entry in column j times the pivot row, one row at a time
+        prow = W[p, leave]
+        prow /= W[p, leave, j][:, None]
+        W[p, leave] = prow
+        colvals = W[p, :, j]
+        colvals[p, leave] = 0.0
+        for i in range(nrows + 1):
+            W[:, i] -= np.multiply(colvals[:, i, None], prow, out=update[:k])
+        W[p, :, j] = 0.0
+        W[p, leave, j] = 1.0
+        Wb[p, leave] = j
+        count[:k] += 1
+
+
+def _keep_in_front(keep, k, arrays):
+    """Reorder the first k rows of every array alike, the rows with keep
+    first, by swapping each kept row behind them with a dropped row ahead.
+    Returns the number kept."""
+    kept = int(np.count_nonzero(keep))
+    src = np.flatnonzero(keep[kept:k]) + kept
+    dst = np.flatnonzero(~keep[:kept])
+    if src.size:
+        for a in arrays:
+            a[src], a[dst] = a[dst], a[src]
+    return kept
+
+
+def batch_size(m, nv):
+    """How many problems with m constraints and nv variables one lockstep
+    batch takes: their tableaux fit in BATCH_TABLEAU_BYTES, and at least one."""
+    return max(1, BATCH_TABLEAU_BYTES // (8 * (nv + 1) * (m + nv + 1)))
+
+
+def solve_lp_batch(A, r, c):
+    """Solve P problems min{c[p] . b : A[p] b >= r[p]} of one shape in lockstep.
+
+    A has shape (P, m, nv), r (P, m) and c (P, nv), all finite.  A problem
+    is solved when solve_lp would return it optimal by Dantzig pricing alone:
+    then its vertex and pivot count are solve_lp's, bit for bit, and it
+    passed solve_lp's certificate.  Phase 1 runs here, not through the memo.
+    Returns (variables (P, nv), iterations (P,), solved (P,)); a problem not
+    solved has NaN variables, and solve_lp gives its result or its
+    NumericalBreakdown.  The tableaux take 8 (nv+1)(m+nv+1) bytes each, so
+    callers bound P by batch_size.
+    """
+    P, m, nv = A.shape
+    ncols = m + nv
+    pivots = np.zeros(P, dtype=int)
+    live = np.ones(P, dtype=bool)
+    owner = np.arange(P)  # T[i] holds problem owner[i]'s tableau
+    with np.errstate(over="ignore", invalid="ignore"):
+        # phase 1, as _phase1 builds and runs it
+        sign = np.where(c < 0.0, -1.0, 1.0)
+        T = np.zeros((P, nv + 1, ncols + 1))
+        np.multiply(A.transpose(0, 2, 1), sign[:, :, None], out=T[:, :nv, :m])
+        T[:, np.arange(nv), m + np.arange(nv)] = 1.0
+        abs_c = np.abs(c)
+        T[:, :nv, -1] = abs_c
+        cscale = np.maximum(1.0, abs_c.max(axis=1))
+        basis = np.tile(np.arange(m, ncols), (P, 1))
+        T[:, -1, m:ncols] = 1.0
+        # T[:nv].sum(axis=0) of each tableau: the rows added in order from +0.0
+        total = T[:, 0] + 0.0
+        for i in range(1, nv):
+            total += T[:, i]
+        T[:, -1] -= total
+        _run_lockstep(T, basis, owner, ncols, 1e-9 * cscale, pivots, live)
+        live[owner] &= -T[:, -1, -1] <= 1e-7 * cscale[owner]
+        for i in np.flatnonzero(live[owner] & (basis >= m).any(axis=1)):
+            pivots[owner[i]] += _drive_out(T[i], basis[i], m)
+
+        # phase 2, each objective row priced as _solve_via_dual prices it: a
+        # stacked matmul rounds as the per-tableau products of its slices
+        costs = np.zeros((P, ncols + 1))
+        costs[:, :m] = -r[owner]
+        T[:, -1] = costs
+        T[:, -1] -= np.matmul(np.take_along_axis(costs, basis, 1)[:, None], T[:, :nv])[:, 0]
+        tol = 1e-9 * np.maximum(1.0, np.abs(r).max(axis=1))
+        _run_lockstep(T, basis, owner, m, tol, pivots, live)
+        slot = np.empty(P, dtype=np.intp)
+        slot[owner] = np.arange(P)
+        b = sign * T[slot, -1, m:ncols]
+        live &= _certified(A, r, c, b, T[slot, -1, -1], live)
+    b[~live] = np.nan
+    return b, pivots, live
+
+
+def _certified(A, r, c, b, dual_value, live):
+    """Which live problems pass _certify.
+
+    One stacked computation settles every problem whose slacks and duality
+    gap clear the certificate's tolerances by 1e-12 of their scale, far more
+    than the rounding by which it can differ from _certify's; each other
+    live problem gets _certify itself.
+    """
+    value = np.einsum("pj,pj->p", c, b)
+    size = np.einsum("pj,pj->p", np.abs(c), np.abs(b)) + np.abs(dual_value) + 1.0
+    slack = -r
+    rowscale = np.abs(r)
+    for i in range(b.shape[1]):
+        slack += A[:, :, i] * b[:, i, None]
+        rowscale += np.abs(A[:, :, i]) * np.abs(b[:, i, None])
+    np.maximum(rowscale, 1.0, out=rowscale)
+    err = 1e-12 * size
+    clear = (
+        (size < 1e300)
+        & np.isfinite(rowscale).all(axis=1)
+        & ((slack / rowscale).min(axis=1) >= -FEASIBILITY_TOL + 1e-12)
+        & (np.abs(value - dual_value) + err <= 1e-7 * np.maximum(1.0, np.abs(value) - err))
+    )
+    ok = live & clear
+    for p in np.flatnonzero(live & ~clear):
+        try:
+            _certify(A[p], r[p], c[p], b[p], dual_value[p])
+            ok[p] = True
+        except NumericalBreakdown:
+            pass
+    return ok

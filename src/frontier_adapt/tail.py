@@ -85,7 +85,11 @@ def neg_hill_inv_alpha(window_ys, m: int, counters=None) -> float:
 
     Exactly invariant to adding a constant to, or rescaling, the window.
     """
-    w = _order_desc(window_ys, counters)
+    return _neg_hill_ordered(_order_desc(window_ys, counters), m)
+
+
+def _neg_hill_ordered(w, m: int) -> float:
+    """neg_hill_inv_alpha on a window that _order_desc has ordered."""
     if not 3 <= m <= w.size:
         raise InvalidConfig(f"m={m} outside [3, {w.size}]")
     top = w[0]
@@ -115,7 +119,11 @@ def estimate_b(window_ys, m: int, inv_alpha: float, n_bar: int | None = None,
     with magnitudes inside the log (the numerator and denominator carry
     opposite signs in the raw display).  nbar defaults to the window size.
     """
-    w = _order_desc(window_ys, counters)
+    return _estimate_b_ordered(_order_desc(window_ys, counters), m, inv_alpha, n_bar)
+
+
+def _estimate_b_ordered(w, m: int, inv_alpha: float, n_bar: int | None = None) -> float:
+    """estimate_b on a window that _order_desc has ordered."""
     if n_bar is None:
         n_bar = w.size
     if n_bar < 3:
@@ -146,24 +154,29 @@ def tail_m(n_bar: int, m_exponent: float) -> int:
 
 def per_k_inv_alphas(sample: Sample, x: float, grid, m_exponent: float,
                      counters=None):
-    """Per-bandwidth (1/alpha, m, window) for k = 0..K; NaN where degenerate."""
+    """Per-bandwidth (1/alpha, m, ordered window) for k = 0..K.
+
+    Each window of at least 3 points is ordered once by _order_desc, so its
+    tied pairs count once in ties_jittered; the b estimator reads the same
+    ordered window.  1/alpha is NaN where degenerate, and the window is None
+    where it could not be ordered or was too small.
+    """
     K = grid.K
     invs = np.full(K + 1, np.nan)
     ms = np.zeros(K + 1, dtype=int)
-    windows = []
+    ordered = [None] * (K + 1)
     for k in range(K + 1):
         start, stop = window_bounds(sample.n, x, grid.bandwidths[k])
-        w = sample.ys[start:stop]
-        windows.append(w)
-        if w.size < 3:
+        if stop - start < 3:
             _bump(counters, "tail_k_skipped")
             continue
-        ms[k] = tail_m(w.size, m_exponent)
+        ms[k] = tail_m(stop - start, m_exponent)
         try:
-            invs[k] = neg_hill_inv_alpha(w, ms[k], counters)
+            ordered[k] = _order_desc(sample.ys[start:stop], counters)
+            invs[k] = _neg_hill_ordered(ordered[k], ms[k])
         except DegenerateWindow:
             _bump(counters, "tail_k_skipped")
-    return invs, ms, windows
+    return invs, ms, ordered
 
 
 def first_drift(K: int, distance, threshold) -> int:
@@ -212,7 +225,7 @@ def estimate_tail_at(sample: Sample, x: float, grid, m_exponent: float,
     rho^(-k) / loglog(n).
     """
     check_points(x)
-    invs, ms, windows = per_k_inv_alphas(sample, x, grid, m_exponent, counters)
+    invs, ms, ordered = per_k_inv_alphas(sample, x, grid, m_exponent, counters)
     k_alpha, inv_alpha = _nested_select(invs, grid.K, grid.rho, math.log(grid.n),
                                         "tail estimation", counters)
     bs = np.full(k_alpha + 1, np.nan)
@@ -220,7 +233,7 @@ def estimate_tail_at(sample: Sample, x: float, grid, m_exponent: float,
         if np.isnan(invs[k]):
             continue
         try:
-            bs[k] = estimate_b(windows[k], ms[k], invs[k], windows[k].size, counters)
+            bs[k] = _estimate_b_ordered(ordered[k], ms[k], invs[k], ordered[k].size)
         except DegenerateWindow:
             _bump(counters, "tail_k_skipped")
     k_b, b_hat = _nested_select(bs, k_alpha, grid.rho, math.log(math.log(grid.n)),

@@ -22,9 +22,9 @@ from frontier_adapt.adapt import (
     iu_n,
     lepski_select,
 )
-from frontier_adapt.errors import DomainError, InvalidConfig
+from frontier_adapt.errors import DomainError, InvalidConfig, NumericalBreakdown
 from frontier_adapt.local_poly import Sample
-from frontier_adapt.simkit import ERROR_KINDS, ErrorModel, builtin_f, gen_sample
+from frontier_adapt.simkit import ERROR_KINDS, ErrorModel, alpha_profile, builtin_f, gen_sample
 from frontier_adapt.tail import TailFunction, estimate_tail_at
 
 
@@ -271,15 +271,23 @@ def test_non_finite_point_is_invalid_config(cfg):
 
 
 def _count_fits(monkeypatch):
-    """Bandwidths of every envelope fit adaptive_estimate runs, in order."""
+    """Bandwidths of every envelope fit adaptive_estimate runs, in order:
+    the per-point fits and the solved fits of each lockstep batch."""
     hs = []
     fit = adapt.estimate_at
+    batch = adapt.estimate_windows
 
     def counted(sample, x, h, degree):
         hs.append(h)
         return fit(sample, x, h, degree)
 
+    def counted_batch(sample, xs, starts, meff, h, degree):
+        values, iterations, solved = batch(sample, xs, starts, meff, h, degree)
+        hs.extend([h] * int(solved.sum()))
+        return values, iterations, solved
+
     monkeypatch.setattr(adapt, "estimate_at", counted)
+    monkeypatch.setattr(adapt, "estimate_windows", counted_batch)
     return hs
 
 
@@ -350,6 +358,137 @@ def test_envelope_rows_are_fitted_lazily_in_order(monkeypatch):
         expected = np.array([local_poly.estimate_at(sample, x, h, 2) for x in points])
         assert row.tobytes() == expected.tobytes()
     assert len(hs) == 3 * points.size and counters == {}
+
+
+def _per_point_row(sample, points, h, beta_star, counters, pivots):
+    """A row by the failure rule of EnvelopeRows, one estimate_at per point;
+    records the pivots of each fit's solve_lp in pivots[x, h]."""
+    row = []
+    solved = []
+    solve = local_poly.solve_lp
+
+    def recording(lp):
+        sol = solve(lp)
+        solved.append(sol.iterations)
+        return sol
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(local_poly, "solve_lp", recording)
+        for xp in points:
+            start, stop = local_poly.window_bounds(sample.n, xp, h)
+            if stop - start < 2:
+                counters["window_too_small"] = counters.get("window_too_small", 0) + 1
+                row.append(np.nan)
+                continue
+            degree = min(beta_star, stop - start - 2)
+            if degree < beta_star:
+                counters["degree_lowered"] = counters.get("degree_lowered", 0) + 1
+            try:
+                row.append(local_poly.estimate_at(sample, xp, h, degree))
+                pivots[float(xp), float(h)] = solved[-1]
+            except NumericalBreakdown:
+                counters["lp_failures"] = counters.get("lp_failures", 0) + 1
+                row.append(np.nan)
+    return np.array(row)
+
+
+def _batched_pivots(monkeypatch):
+    """{(x, h): pivots} of every fit that a lockstep batch solved."""
+    pivots = {}
+    batch = adapt.estimate_windows
+
+    def recording(sample, xs, starts, meff, h, degree):
+        values, iterations, solved = batch(sample, xs, starts, meff, h, degree)
+        for x, it in zip(np.asarray(xs)[solved], iterations[solved]):
+            pivots[float(x), float(h)] = int(it)
+        return values, iterations, solved
+
+    monkeypatch.setattr(adapt, "estimate_windows", recording)
+    return pivots
+
+
+def _assert_rows_match_per_point_fits(sample, points, bandwidths, beta_star, pivots):
+    """Every row bit for bit, the counters in key order, and each batched
+    fit's pivots equal to its solve_lp's."""
+    pivots.clear()
+    counters, expected_counters, expected_pivots = {}, {}, {}
+    rows = EnvelopeRows(sample, points, bandwidths, beta_star, counters)
+    for k, h in enumerate(bandwidths):
+        expected = _per_point_row(sample, points, h, beta_star, expected_counters,
+                                  expected_pivots)
+        assert rows[k].tobytes() == expected.tobytes(), (k, h)
+    assert list(counters.items()) == list(expected_counters.items())
+    for key, its in pivots.items():
+        assert its == expected_pivots[key], key
+    return rows
+
+
+@pytest.mark.parametrize("n, seed, em", [
+    (400, (0, 0), ErrorModel("negexp")),
+    (400, (0, 1), ErrorModel("negexp")),
+    (1600, (0, 0), ErrorModel("negexp")),
+    (1600, (0, 1), ErrorModel("negexp")),
+    (400, (0, 0), ErrorModel("zero")),
+    (400, (0, 0), ErrorModel("neggamma", spatial=alpha_profile)),
+])
+def test_batched_rows_equal_per_point_fits(monkeypatch, n, seed, em):
+    # rows 0..K over the whole design: most points are batched, none falls back
+    pivots = _batched_pivots(monkeypatch)
+    sample = gen_sample(builtin_f("f2"), em, n, seed)
+    grid = build_grid(n, 0.4, 2.0)
+    rows = _assert_rows_match_per_point_fits(
+        sample, sample.xs(), grid.bandwidths[: grid.K + 1], 2, pivots)
+    assert rows.fallbacks == 0
+    assert len(pivots) > 0.6 * n * (grid.K + 1)
+
+
+def test_batch_fallbacks_keep_the_per_point_values(monkeypatch):
+    # responses spread over 1.7e308: most windows overflow when shifted, or
+    # their LPs fail; the batch leaves those points to estimate_at, which
+    # gives the same values and counts the same lp_failures
+    pivots = _batched_pivots(monkeypatch)
+    sample = Sample(-1.7e308 * np.random.default_rng(0).uniform(size=50))
+    rows = _assert_rows_match_per_point_fits(
+        sample, sample.xs(), [0.05, 0.1, 0.2, 0.4, 0.8], 2, pivots)
+    assert rows.fallbacks > 0 and len(pivots) > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(8, 150), f=st.sampled_from(["f1", "f2", "absdip", "const"]),
+       kind=st.sampled_from(ERROR_KINDS), seed=st.integers(0, 2**16),
+       offset=st.sampled_from([0.0, 1e8, -1e8, 3.5]), scale=st.sampled_from([1.0, 1e-9, 1e3]),
+       beta_star=st.integers(0, 3))
+def test_batched_rows_equal_per_point_fits_on_random_samples(
+        n, f, kind, seed, offset, scale, beta_star):
+    base = gen_sample(builtin_f(f), ErrorModel(kind), n, seed)
+    sample = Sample(scale * base.ys + offset)
+    grid = build_grid(n, 0.4, 2.0)
+    with pytest.MonkeyPatch.context() as mp:
+        pivots = _batched_pivots(mp)
+        _assert_rows_match_per_point_fits(sample, sample.xs(), grid.bandwidths, beta_star, pivots)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(30, 160), f=st.sampled_from(["f1", "f2", "absdip"]),
+       kind=st.sampled_from(["negexp", "neggamma", "neguniform", "negweibull"]),
+       seed=st.integers(0, 2**16), delta=st.sampled_from([5.0, -2.25, 1e3]),
+       a=st.sampled_from([3.0, 0.5, 4.0]))
+def test_lq_selection_shift_and_scale_invariance(n, f, kind, seed, delta, a):
+    # c04's exact invariances through L_q selection: the curve shifts with the
+    # sample and the selection does not move; the tail index is also
+    # invariant to rescaling the sample
+    cfg = EstimatorConfig(q=1.0)
+    sample = gen_sample(builtin_f(f), ErrorModel(kind), n, seed)
+    base, diag = adaptive_estimate(sample, cfg, grid=sample.xs())
+    values, shifted = adaptive_estimate(Sample(sample.ys + delta), cfg, grid=sample.xs())
+    expected = base + delta
+    assert np.all(np.abs(values - expected) <= 1e-12 * np.maximum(1.0, np.abs(expected)))
+    assert shifted.k_hat == diag.k_hat and shifted.k_alpha == diag.k_alpha
+    assert shifted.alpha_hat == pytest.approx(diag.alpha_hat, rel=1e-12)
+    assert shifted.b_hat == pytest.approx(diag.b_hat, rel=1e-12, abs=1e-12)
+    _, scaled = adaptive_estimate(Sample(a * sample.ys), cfg, grid=sample.xs())
+    assert scaled.k_alpha == diag.k_alpha
+    assert scaled.alpha_hat == pytest.approx(diag.alpha_hat, rel=1e-12)
 
 
 def test_h0_exponent_warning_surfaces_in_diagnostics():
@@ -430,7 +569,7 @@ def _lq_selections():
 # Pins every bit of the L_q values and selection trace above: arrays with
 # their dtype and shape, scalars by their exact repr, counters in key order.
 # A speed change to the selection must leave it unchanged.
-GOLDEN_LQ_DIGEST = "76e58bf038db9444abaa130203579760431f991aa27c824444c53fce9bca6508"
+GOLDEN_LQ_DIGEST = "a02fefd24f0cd69c0a745922d95d2427b24e00684ad4c1eb303a5a12d84feef3"
 
 
 def test_golden_lq_selection_digest():

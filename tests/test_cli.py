@@ -443,6 +443,72 @@ def test_estimate_on_hostile_csv_exits_cleanly(case, q):
     assert np.all(f_hat[ok] >= y[ok] - 1e-9 * max(1.0, float(np.abs(y).max())))
 
 
+def _run_quietly(argv):
+    """(exit code, stderr) of main(argv), asserting that it raised no warning."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert not caught, [str(w.message) for w in caught]
+    return code, err.getvalue()
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_hostile_csv(), x=st.sampled_from([[], ["--x", "0.25"], ["--x", "1"]]))
+def test_tail_on_hostile_csv_exits_cleanly(case, x):
+    text, _ = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "s.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code, err = _run_quietly(["tail", path, *x, "--out", os.path.join(tmp, "t.json")])
+        assert code in (0, 2, 3, 4), err
+        if code == 0:
+            assert err == ""
+            with open(os.path.join(tmp, "t.json"), encoding="utf-8") as fh:
+                json.load(fh)
+
+
+@st.composite
+def _hostile_risks_file(draw):
+    """A risks file with a wrong, missing or reordered header, 0-12 rows,
+    repeated, fractional, non-positive, huge or non-finite n, and zero,
+    negative, tiny, huge or non-finite risks and stderrs."""
+    header = draw(st.sampled_from(["n,risk", "n,risk,stderr", "risk,n", "a,b", None]))
+    width = 3 if header == "n,risk,stderr" else draw(st.sampled_from([2, 2, 3]))
+    n_value = st.one_of(st.integers(-2, 5000).map(str),
+                        st.sampled_from(["0.5", "1e308", "nan", "inf", "-inf", "100.0", "x"]))
+    value = st.one_of(st.floats(1e-6, 10.0).map(repr),
+                      st.sampled_from(["0", "-0.1", "5e-324", "1e308", "nan", "inf", "-inf", ""]))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        cells = [draw(n_value), draw(value)] + ([draw(value)] if width == 3 else [])
+        if draw(st.integers(0, 9)) == 0:
+            cells = cells[:1]
+        rows.append(",".join(cells))
+    if rows and draw(st.booleans()):
+        rows.append(rows[0])
+    return "\n".join(([header] if header else []) + rows) + "\n"
+
+
+@settings(max_examples=50, deadline=None)
+@given(text=_hostile_risks_file(),
+       theory=st.sampled_from([[], ["--alpha", "1", "--beta", "1"], ["--target", "lq:2"]]))
+def test_rates_on_hostile_risks_file_exits_cleanly(text, theory):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "risks.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code, err = _run_quietly(["rates", "--risks-file", path, *theory,
+                                  "--out", os.path.join(tmp, "r.csv")])
+        assert code in (0, 2, 3, 4), err
+        if code == 0:
+            assert err == ""
+            _, rows = _read_csv(os.path.join(tmp, "r.csv"))
+            assert len(rows) >= 3
+
+
 def test_tail_on_a_huge_scale_writes_no_warning(tmp_path):
     ys = -1e300 * np.random.default_rng(0).exponential(size=200)
     (tmp_path / "huge.csv").write_text("y\n" + "".join(f"{float(v)!r}\n" for v in ys))

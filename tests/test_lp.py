@@ -397,3 +397,63 @@ def test_run_simplex_nan_reduced_cost_breaks_down():
     T = np.array([[1.0, 1.0, 1.0], [np.nan, -1.0, 0.0]])
     with pytest.raises(NumericalBreakdown, match="NaN reduced cost"):
         lp_module._run_simplex(T, np.array([2]), 2, 1e-9)
+
+
+def _stack(lps):
+    return (np.array([lp.constraint_matrix for lp in lps]),
+            np.array([lp.constraint_rhs for lp in lps]),
+            np.array([lp.objective for lp in lps]))
+
+
+def test_golden_envelope_lps_through_the_batch_kernel():
+    # every envelope LP of the golden set (all but Beale's), alone and stacked
+    # with the others of its shape: solve_lp's vertex and pivot count, bit for bit
+    lps = _golden_lps()[:-1]
+    by_shape = {}
+    for lp in lps:
+        by_shape.setdefault(lp.constraint_matrix.shape, []).append(lp)
+    for group in [[lp] for lp in lps] + list(by_shape.values()):
+        b, iterations, solved = lp_module.solve_lp_batch(*_stack(group))
+        assert solved.all()
+        for lp, vertex, pivots in zip(group, b, iterations):
+            sol = solve_lp(lp)
+            assert vertex.tobytes() == sol.variables.tobytes()
+            assert pivots == sol.iterations
+    assert max(len(group) for group in by_shape.values()) >= 2
+
+
+def test_batch_kernel_leaves_the_rest_to_solve_lp():
+    # Beale's instance needs Bland's rule; the dual of an infeasible LP is
+    # unbounded and that of an unbounded one infeasible: none is solved, and
+    # a solvable problem in the same stack is
+    b, _, solved = lp_module.solve_lp_batch(*_stack([_beale_lp()]))
+    assert not solved[0] and np.isnan(b).all()
+    lps = [LinearProgram([1.0], [[1.0], [-1.0]], [1.0, 0.0]),
+           LinearProgram([-1.0], [[1.0], [1.0]], [0.0, 1.0]),
+           LinearProgram([1.0], [[1.0], [1.0]], [1.0, 2.0])]
+    assert [solve_lp(lp).status for lp in lps] == [INFEASIBLE, UNBOUNDED, OPTIMAL]
+    b, iterations, solved = lp_module.solve_lp_batch(*_stack(lps))
+    assert solved.tolist() == [False, False, True]
+    assert np.isnan(b[:2]).all()
+    assert b[2].tobytes() == solve_lp(lps[2]).variables.tobytes()
+    assert iterations[2] == solve_lp(lps[2]).iterations
+
+
+def test_stacked_phase2_pricing_rounds_as_per_tableau():
+    # the batch prices phase 2 with one stacked matmul; it must round as the
+    # per-tableau vector-matrix product of _solve_via_dual
+    rng = np.random.default_rng(7)
+    for nv in range(1, 9):
+        for width in (4, 17, 42, 158, 311, 1606):
+            T = rng.normal(size=(30, nv + 1, width)) * 10.0 ** rng.integers(-6, 6, (30, 1, 1))
+            cb = rng.normal(size=(30, nv))
+            stacked = np.matmul(cb[:, None], T[:, :nv])[:, 0]
+            per_tableau = np.array([cb[p] @ T[p, :nv] for p in range(30)])
+            assert stacked.tobytes() == per_tableau.tobytes()
+
+
+def test_batch_size_keeps_the_tableaux_under_the_cap():
+    for m, nv in ((2, 1), (39, 3), (307, 3), (1600, 5), (200000, 3)):
+        p = lp_module.batch_size(m, nv)
+        assert p >= 1
+        assert p == 1 or p * 8 * (nv + 1) * (m + nv + 1) <= lp_module.BATCH_TABLEAU_BYTES

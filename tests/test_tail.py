@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from frontier_adapt.adapt import EstimatorConfig, build_grid
 from frontier_adapt.errors import DegenerateWindow, DomainError, InvalidConfig
-from frontier_adapt.local_poly import Sample
+from frontier_adapt.local_poly import Sample, window_bounds
+from frontier_adapt.simkit import ErrorModel, builtin_f, gen_sample
 from frontier_adapt.tail import (
     INV_ALPHA_CAP,
     TailFunction,
@@ -19,6 +20,7 @@ from frontier_adapt.tail import (
     estimate_tail_at,
     first_drift,
     neg_hill_inv_alpha,
+    per_k_inv_alphas,
     tail_m,
 )
 
@@ -90,6 +92,29 @@ def test_tie_jitter_is_counted_and_result_finite():
     inv = neg_hill_inv_alpha(ys, 4, counters)
     assert math.isfinite(inv) and inv > 0.0
     assert counters["ties_jittered"] >= 1
+
+
+def test_each_tail_window_counts_its_ties_once():
+    # the 1/alpha and b estimators read one ordered window per k, so each
+    # tied pair of the windows that could be ordered counts once
+    sample = gen_sample(builtin_f("f1"), ErrorModel("zero"), 400, 0)
+    grid = _default_grid(400)
+    counters = {}
+    tail = estimate_tail_at(sample, 0.5, grid, 2.0 / 3.0, counters)
+    _, _, ordered = per_k_inv_alphas(sample, 0.5, grid, 2.0 / 3.0)
+    tied = 0
+    for k, w in enumerate(ordered):
+        if w is not None:
+            start, stop = window_bounds(sample.n, 0.5, grid.bandwidths[k])
+            ys = np.sort(sample.ys[start:stop])
+            tied += int(np.count_nonzero(ys[1:] == ys[:-1]))
+    assert tail.k_alpha == 3
+    assert counters["ties_jittered"] == tied == 917
+    # ordering a window once more, as the public estimators do, counts again
+    w = sample.ys[slice(*window_bounds(sample.n, 0.5, grid.bandwidths[3]))]
+    again = {}
+    estimate_b(w, tail.m_used, neg_hill_inv_alpha(w, tail.m_used, again), counters=again)
+    assert again["ties_jittered"] == 2 * int(np.count_nonzero(np.diff(np.sort(w)) == 0))
 
 
 @settings(max_examples=40, deadline=None)
