@@ -413,7 +413,7 @@ def adaptive_estimate(sample: Sample, cfg: EstimatorConfig, x=None, grid=None):
                     value = ests[valid[-1], 0]
                     _bump(counters, "selected_estimate_missing")
             values[i] = value
-        elif x is None and pts.size == sample.n and np.allclose(pts, fit_points, atol=1e-12):
+        elif x is None and pts.size == sample.n and np.allclose(pts, fit_points, rtol=0.0, atol=1e-12):
             values = ests[k_hat].copy()
         else:
             h = bgrid.bandwidths[k_hat]

@@ -116,7 +116,9 @@ def _solve_window(sample: Sample, x: float, h: float, degree: int):
             f"window at x={x} with h={h} has {meff} points, needs {degree + 2}"
         )
     scale = min(h, 2.0)
-    t = np.arange(start + 1, stop + 1) / sample.n - x
+    t = np.arange(start + 1, stop + 1, dtype=float)
+    t /= sample.n
+    t -= x
     t /= scale
     yw = sample.ys[start:stop]
     shift = yw.max()
@@ -124,13 +126,10 @@ def _solve_window(sample: Sample, x: float, h: float, degree: int):
         # finite responses such as 1e308 and -1e308
         raise NumericalBreakdown(f"shifted responses at x={x} with h={h} overflow")
 
-    # np.vander(t, degree + 1, increasing=True), one product per column;
-    # C order, so the objective sums the rows in order
-    powers = np.empty((meff, degree + 1))
-    powers[:, 0] = 1.0
-    for j in range(1, degree + 1):
-        np.multiply(powers[:, j - 1], t, out=powers[:, j])
-    sol = solve_lp(_unchecked_lp(powers.sum(axis=0), powers, yw - shift))
+    # np.vander(t, degree + 1, increasing=True) as the transpose of a
+    # row-major basis: phase 1 fills each tableau row from a contiguous row
+    powers, objective = _power_basis(t, degree)
+    sol = solve_lp(_unchecked_lp(objective, powers.T, yw - shift))
     if sol.status != OPTIMAL:
         # feasible by construction (raising the constant term clears all
         # constraints) and bounded below by sum(yw), so anything else is
@@ -186,9 +185,11 @@ def estimate_windows(sample: Sample, xs, starts, meff: int, h: float, degree: in
     step = batch_size(meff, degree + 1)
     for lo in range(0, xs.size, step):
         idx = np.arange(lo, min(lo + step, xs.size))
-        fits, powers, rhs, shift = _window_lps(sample, xs[idx], starts[idx], meff, h, degree)
+        fits, powers, objective, rhs, shift = _window_lps(
+            sample, xs[idx], starts[idx], meff, h, degree)
         idx = idx[fits]
-        b, iterations[idx], solved[idx] = solve_lp_batch(powers, rhs, powers.sum(axis=1))
+        b, iterations[idx], solved[idx] = solve_lp_batch(
+            powers.transpose(0, 2, 1), rhs, objective)
         values[idx] = b[:, 0] + shift
     return values, iterations, solved
 
@@ -196,8 +197,9 @@ def estimate_windows(sample: Sample, xs, starts, meff: int, h: float, degree: in
 def _window_lps(sample, xs, starts, meff, h, degree):
     """The envelope LPs that _solve_window builds at xs, stacked.
 
-    Returns (fits, powers, rhs, shift): fits marks the points whose shifted
-    responses do not overflow, and the rest holds their LPs alone.
+    Returns (fits, powers, objective, rhs, shift): fits marks the points
+    whose shifted responses do not overflow, and the rest holds their LPs
+    alone, with powers of shape (points, degree + 1, meff).
     """
     yw = sample.ys[starts[:, None] + np.arange(meff)]
     shift = yw.max(axis=1)
@@ -207,8 +209,26 @@ def _window_lps(sample, xs, starts, meff, h, degree):
         xs, starts, yw, shift = xs[fits], starts[fits], yw[fits], shift[fits]
     t = (starts[:, None] + np.arange(1, meff + 1)) / sample.n - xs[:, None]
     t /= min(h, 2.0)
-    powers = np.empty((xs.size, meff, degree + 1))
-    powers[:, :, 0] = 1.0
+    powers, objective = _power_basis(t, degree)
+    return fits, powers, objective, yw - shift[:, None], shift
+
+
+def _power_basis(t, degree):
+    """The envelope LP's basis and objective at window coordinates t.
+
+    t has shape (..., m).  powers has shape (..., degree + 1, m), row j
+    holding t**j, one product per row; the LP's constraint matrix is its
+    transpose.  objective holds each row's sum with its terms added in
+    order, by np.add.accumulate along the contiguous row, as sum(axis=0)
+    adds the columns of a C-ordered (m, degree + 1) basis; the constant
+    row's sum is m exactly.
+    """
+    m = t.shape[-1]
+    powers = np.empty(t.shape[:-1] + (degree + 1, m))
+    powers[..., 0, :] = 1.0
     for j in range(1, degree + 1):
-        np.multiply(powers[:, :, j - 1], t, out=powers[:, :, j])
-    return fits, powers, yw - shift[:, None], shift
+        np.multiply(powers[..., j - 1, :], t, out=powers[..., j, :])
+    objective = np.empty(powers.shape[:-1])
+    objective[..., 0] = m
+    objective[..., 1:] = np.add.accumulate(powers[..., 1:, :], axis=-1)[..., -1]
+    return powers, objective

@@ -28,10 +28,12 @@ reduced cost) for speed; after a run of degenerate pivots the rule switches
 to Bland's, which cannot cycle, so termination is guaranteed.  All
 tie-breaks are by lowest index, so identical inputs give identical vertices.
 
-The cost of a solve is Python overhead per pivot, not arithmetic: the
-tableau has only d+2 rows.  So pricing is one NumPy argmin over the
-reduced-cost row, and the ratio test runs in plain Python floats over the
-d+1 constraint rows, with the same IEEE divisions NumPy would do.
+On a small window the cost of a solve is Python overhead per pivot, not
+arithmetic: the tableau has only d+2 rows.  So pricing is one NumPy argmin
+over the reduced-cost row, and the ratio test runs in plain Python floats
+over the d+1 constraint rows, with the same IEEE divisions NumPy would do.
+On a wide window it is memory passes over the tableau, so a pivot updates
+a large tableau in column blocks that stay in cache.
 
 Phase 1 reads only A and c, and envelope fits over one design repeat the
 same windows, so its result is memoized on the exact bytes of (A, c) in a
@@ -59,6 +61,8 @@ _MAX_PIVOT_FACTOR = 200  # safety cap: pivots <= factor * (rows + cols)
 _STALL_LIMIT = 30        # consecutive degenerate pivots before Bland's rule
 PHASE1_MEMO_BYTES = 1 << 20  # cap on the phase-1 memo's keys and tableaux
 BATCH_TABLEAU_BYTES = 3 << 17  # cap on the tableaux of one lockstep batch (384 KiB)
+PIVOT_BLOCK_BYTES = 1 << 19  # cap on the column blocks that _pivot updates in cache
+_CERTIFY_SHORTCUT_SIZE = 1 << 11  # entries of A from which _certify tries its shortcut
 
 
 @dataclass(frozen=True)
@@ -119,11 +123,28 @@ class LpSolution:
 
 
 def _pivot(T, basis, row, col):
-    """Pivot T in place on (row, col): col enters the basis at row."""
-    T[row] /= T[row, col]
-    colvals = T[:, col].copy()
+    """Pivot T in place on (row, col): col enters the basis at row.
+
+    Each entry gets the operations of one whole-tableau update: the pivot
+    row is divided by the pivot, then every row i loses T[i, col] times the
+    divided pivot row, the pivot row itself 0 times.  A tableau of more
+    than PIVOT_BLOCK_BYTES is updated in even column blocks of about that
+    size, so each block's division, products and differences stay in cache
+    and no temporary spans the tableau.
+    """
+    piv = T[row, col]
+    colvals = T[:, col, None].copy()
     colvals[row] = 0.0
-    T -= colvals[:, None] * T[row]
+    if T.nbytes <= PIVOT_BLOCK_BYTES:
+        blocks = (T,)
+    else:
+        width = T.shape[1]
+        step = -(-width // -(-T.nbytes // PIVOT_BLOCK_BYTES))
+        blocks = [T[:, lo : lo + step] for lo in range(0, width, step)]
+    for block in blocks:
+        prow = block[row]
+        prow /= piv
+        block -= colvals * prow
     T[:, col] = 0.0
     T[row, col] = 1.0
     basis[row] = col
@@ -214,16 +235,22 @@ def _phase1(A, c):
     m, nv = A.shape
     sign = np.where(c < 0.0, -1.0, 1.0)
     ncols = m + nv
-    T = np.zeros((nv + 1, ncols + 1))
+    T = np.empty((nv + 1, ncols + 1))
+    # row i is column i of A, one contiguous pass for a Fortran-ordered A
     np.multiply(A.T, sign[:, None], out=T[:nv, :m])
+    T[:nv, m:] = 0.0
     T.ravel()[m : nv * (ncols + 2) : ncols + 2] = 1.0  # identity on the artificials
     abs_c = np.abs(c)
     T[:nv, -1] = abs_c
     cscale = max(1.0, abs_c.max())
     basis = np.arange(m, ncols)
 
-    T[-1, m:ncols] = 1.0
-    T[-1] -= T[:nv].sum(axis=0)
+    # the artificial sum priced out: 0 less the column sums of the rows
+    # above, added in row order, and 1 - 1 = 0 on the artificials
+    last = T[-1]
+    np.add.reduce(T[:nv], axis=0, out=last)
+    np.subtract(0.0, last, out=last)
+    last[m:ncols] = 0.0
     status, pivots = _run_simplex(T, basis, ncols, 1e-9 * cscale)
     if status != OPTIMAL:
         raise NumericalBreakdown("phase 1 terminated unbounded")
@@ -284,7 +311,7 @@ class _Phase1Memo:
         key_bytes = A.nbytes + c.nbytes
         if key_bytes + 8 * ((nv + 1) * (m + nv + 1) + nv) > self.cap // 2:
             return _phase1(A, c)
-        key = (A.shape, A.tobytes(), c.tobytes())
+        key = (A.shape, A.T.tobytes(), c.tobytes())
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -317,10 +344,9 @@ def _solve_via_dual(A, r, c):
     # phase 2: minimize (-r) . lam with artificials barred from entering
     m, nv = A.shape
     ncols = m + nv
-    costs = np.zeros(ncols + 1)
-    costs[:m] = -r
-    T[-1] = costs
-    T[-1] -= costs[basis] @ T[:nv]
+    np.negative(r, out=T[-1, :m])
+    T[-1, m:] = 0.0
+    T[-1] -= T[-1, basis] @ T[:nv]
     status, p2 = _run_simplex(T, basis, m, 1e-9 * max(1.0, np.abs(r).max()))
     pivots += p2
     if status == UNBOUNDED:
@@ -372,21 +398,43 @@ def _certify(A, r, c, b, dual_value):
 
     The certificate: a finite value (so a finite vertex: an inf or NaN in b
     makes c . b inf or NaN), feasibility relative to row scale, and no
-    duality gap.
+    duality gap.  Feasibility is decided on the products of a C-ordered A.
+    A large A is first offered to _clearly_feasible, which settles most
+    vertices in fewer passes over A; on a small one the decisive products
+    cost fewer calls.
     """
     value = float(c @ b)
     if not math.isfinite(value):
         raise NumericalBreakdown(f"recovered vertex {b} has objective value {value}")
-    slack = A @ b - r
-    rowscale = np.maximum(1.0, np.abs(A) @ np.abs(b) + np.abs(r))
-    worst = (slack / rowscale).min() if slack.size else 0.0
-    if not worst >= -FEASIBILITY_TOL:  # a NaN slack fails too
-        raise NumericalBreakdown(f"recovered vertex infeasible (relative {worst:.2e})")
+    if not (A.size >= _CERTIFY_SHORTCUT_SIZE and _clearly_feasible(A, r, b)):
+        A = np.ascontiguousarray(A)
+        slack = A @ b - r
+        rowscale = np.maximum(1.0, np.abs(A) @ np.abs(b) + np.abs(r))
+        worst = (slack / rowscale).min() if slack.size else 0.0
+        if not worst >= -FEASIBILITY_TOL:  # a NaN slack fails too
+            raise NumericalBreakdown(f"recovered vertex infeasible (relative {worst:.2e})")
     if not abs(value - dual_value) <= 1e-7 * max(1.0, abs(value)):
         raise NumericalBreakdown(
             f"duality gap {value - dual_value:.2e} exceeds tolerance"
         )
     return value
+
+
+def _clearly_feasible(A, r, b):
+    """True when the finite vertex b passes _certify's feasibility test by
+    a margin of 1e-12, far more than the rounding by which slacks summed
+    in another order can differ.
+
+    No sum |A_ij b_j| + |r_i| reaches 1e300, so nothing overflows in any
+    order, and every slack is at least -FEASIBILITY_TOL + 1e-12, so every
+    slack over its row scale of 1 or more is too.
+    """
+    bound = np.abs(b).sum() * max(A.max(), -A.min()) + max(r.max(), -r.min())
+    if not bound < 1e300:
+        return False
+    slack = A @ b
+    slack -= r
+    return bool(slack.min() >= -FEASIBILITY_TOL + 1e-12)
 
 
 def _run_lockstep(T, basis, owner, n_enterable, tol_rc, pivots, live):

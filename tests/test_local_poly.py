@@ -1,5 +1,6 @@
 """Envelope fit tests: exactness on polynomial data, feasibility, invariances."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frontier_adapt import local_poly
+from frontier_adapt.adapt import EstimatorConfig, build_grid
 from frontier_adapt.errors import NumericalBreakdown, WindowTooSmall
 from frontier_adapt.local_poly import (
     Sample,
@@ -18,6 +20,7 @@ from frontier_adapt.local_poly import (
     window_indices,
 )
 from frontier_adapt.lp import OPTIMAL, LinearProgram, solve_lp
+from frontier_adapt.simkit import ErrorModel, alpha_profile, builtin_f, gen_sample
 
 
 def _line_envelope_oracle(xw, yw):
@@ -280,3 +283,94 @@ def test_fits_near_the_largest_float_are_finite_or_fail(monkeypatch):
     with pytest.raises(NumericalBreakdown) as exc:
         fit_local(sample, 0.5, 0.2, 2)
     assert "pivot limit" not in str(exc.value)
+
+
+def _column_basis(t, degree):
+    """The power basis as the columns of a C-ordered (m, degree + 1) array,
+    one product per column, and its column sums by sum(axis=0)."""
+    powers = np.empty((t.size, degree + 1))
+    powers[:, 0] = 1.0
+    for j in range(1, degree + 1):
+        np.multiply(powers[:, j - 1], t, out=powers[:, j])
+    return powers, powers.sum(axis=0)
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 8, 9, 16, 17, 127, 128, 129, 1000, 4097, 31249, 100000])
+def test_power_basis_objective_equals_the_column_sums(m):
+    # the row-major basis summed along its rows by np.add.accumulate, and
+    # the constant row's sum set to m, equal the column sums bit for bit
+    rng = np.random.default_rng(m)
+    n = 2 * m + 3
+    windows = [
+        np.linspace(-1.0, 1.0, m),
+        (np.arange(3, m + 3) / n - 0.37) / 0.31,
+        rng.uniform(-1.0, 1.0, size=m),
+        -np.abs(rng.normal(size=m)) * 1e-3,
+    ]
+    for t in windows:
+        for degree in range(10):
+            powers, objective = local_poly._power_basis(t, degree)
+            columns, sums = _column_basis(t, degree)
+            assert powers.shape == (degree + 1, m)
+            assert powers.tobytes() == np.ascontiguousarray(columns.T).tobytes()
+            assert objective.tobytes() == sums.tobytes(), (m, degree)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 5])
+def test_batched_lps_are_the_scalar_lps(monkeypatch, degree):
+    # _window_lps stacks the LPs that _solve_window hands to solve_lp, bit
+    # for bit: basis, objective and shifted responses
+    lps = []
+
+    def recording_solve(lp):
+        lps.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(local_poly, "solve_lp", recording_solve)
+    sample = gen_sample(builtin_f("f2"), ErrorModel("negexp"), 400, (0, 0))
+    h = 0.06
+    xs = sample.xs()[50:340:17]
+    bounds = np.array([window_bounds(sample.n, x, h) for x in xs])
+    meff = int(bounds[0, 1] - bounds[0, 0])
+    assert (bounds[:, 1] - bounds[:, 0] == meff).all()
+    fits, powers, objective, rhs, shift = local_poly._window_lps(
+        sample, xs, bounds[:, 0], meff, h, degree)
+    assert fits.all() and powers.shape == (xs.size, degree + 1, meff)
+    for i, x in enumerate(xs):
+        lps.clear()
+        estimate_at(sample, x, h, degree)
+        (lp,) = lps
+        assert lp.constraint_matrix.tobytes() == powers[i].T.tobytes()
+        assert lp.objective.tobytes() == objective[i].tobytes()
+        assert lp.constraint_rhs.tobytes() == rhs[i].tobytes()
+
+
+def _wide_window_digest():
+    """Vertex bytes, pivot counts and breakdowns of the envelope LPs of rows
+    k = 7..9 at 19 points of an n = 100,000 sample: windows of about
+    25,600 to 100,000 points."""
+    sample = gen_sample(builtin_f("f2"), ErrorModel("neggamma", spatial=alpha_profile),
+                        100_000, (0, 0))
+    cfg = EstimatorConfig()
+    grid = build_grid(sample.n, cfg.h0_exponent, cfg.rho)
+    digest = hashlib.sha256()
+    for k in (7, 8, 9):
+        for x in np.linspace(0.05, 0.95, 19):
+            try:
+                sol, shift, scale, meff = local_poly._solve_window(
+                    sample, x, grid.bandwidths[k], cfg.beta_star)
+            except NumericalBreakdown as exc:
+                digest.update(f"breakdown {exc}".encode())
+                continue
+            digest.update(sol.variables.tobytes())
+            digest.update(f"{sol.status} {sol.iterations} {meff}".encode())
+    return digest.hexdigest()
+
+
+# Pins the wide-window envelope LPs, where the pivot runs in column blocks
+# and the certificate can take its shortcut.
+WIDE_WINDOW_DIGEST = "3378b393155eb2bb126dea41419e4028cd0a6b3342e9deb7eae46cecd609e820"
+
+
+def test_wide_window_digest():
+    assert _wide_window_digest() == WIDE_WINDOW_DIGEST

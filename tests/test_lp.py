@@ -457,3 +457,89 @@ def test_batch_size_keeps_the_tableaux_under_the_cap():
         p = lp_module.batch_size(m, nv)
         assert p >= 1
         assert p == 1 or p * 8 * (nv + 1) * (m + nv + 1) <= lp_module.BATCH_TABLEAU_BYTES
+
+
+def _whole_tableau_pivot(T, basis, row, col):
+    """_pivot's update on the whole tableau at once."""
+    T[row] /= T[row, col]
+    colvals = T[:, col].copy()
+    colvals[row] = 0.0
+    T -= colvals[:, None] * T[row]
+    T[:, col] = 0.0
+    T[row, col] = 1.0
+    basis[row] = col
+
+
+def _assert_pivots_match(T, steps):
+    """Pivot a copy of T blocked and one whole, step by step: same bits."""
+    blocked, whole = T.copy(), T.copy()
+    basis, expected_basis = np.zeros(T.shape[0], dtype=int), np.zeros(T.shape[0], dtype=int)
+    with np.errstate(all="ignore"):
+        for row, col in steps:
+            lp_module._pivot(blocked, basis, row, col)
+            _whole_tableau_pivot(whole, expected_basis, row, col)
+            assert blocked.tobytes() == whole.tobytes(), (T.shape, row, col)
+            assert basis.tolist() == expected_basis.tolist()
+
+
+@pytest.mark.parametrize("nrows", [2, 4, 11])
+def test_blocked_pivot_equals_the_whole_tableau_update(monkeypatch, nrows):
+    # blocks of 64 columns: widths below one block, exactly one, one block
+    # plus a column, and several uneven blocks; signed zeros, magnitudes
+    # from 1e-8 to 1e8 and an infinity in a pivot row included
+    monkeypatch.setattr(lp_module, "PIVOT_BLOCK_BYTES", 8 * nrows * 64)
+    rng = np.random.default_rng(nrows)
+    for width in (7, 64, 65, 129, 1000):
+        T = rng.normal(size=(nrows, width)) * 10.0 ** rng.integers(-8, 9, size=(nrows, width))
+        T[rng.random(T.shape) < 0.1] = -0.0
+        T[rng.random(T.shape) < 0.1] = 0.0
+        steps = [(i % nrows, int(rng.integers(width))) for i in range(6)]
+        for row, col in steps:
+            T[row, col] = rng.uniform(0.5, 2.0)  # a pivot the earlier steps may move
+        _assert_pivots_match(T, steps)
+        T[1, -1] = np.inf
+        _assert_pivots_match(T, [(1, 0)])
+
+
+def test_blocked_pivot_at_the_default_block_size():
+    # a tableau of three default blocks and one just under a block
+    rng = np.random.default_rng(3)
+    for width in (3 * lp_module.PIVOT_BLOCK_BYTES // 32 + 5, lp_module.PIVOT_BLOCK_BYTES // 32):
+        T = rng.normal(size=(4, width))
+        _assert_pivots_match(T, [(0, 5), (3, width - 2), (1, width // 2)])
+
+
+def _reference_feasibility(A, r, b):
+    """_certify's feasibility test on the products of a C-ordered A."""
+    A = np.ascontiguousarray(A)
+    slack = A @ b - r
+    rowscale = np.maximum(1.0, np.abs(A) @ np.abs(b) + np.abs(r))
+    return (slack / rowscale).min() >= -lp_module.FEASIBILITY_TOL
+
+
+def test_certificate_decides_on_the_c_ordered_products():
+    # Fortran-ordered envelope matrices above the shortcut size, vertices
+    # whose worst relative slack sits at the tolerance, inside and outside
+    # the shortcut's margin, and a row scale near the largest float
+    rng = np.random.default_rng(11)
+    for m in (700, 5000):
+        t = np.linspace(-1.0, 1.0, m)
+        A = np.vander(t, 4, increasing=True).T.copy().T
+        assert A.flags.f_contiguous and A.size >= lp_module._CERTIFY_SHORTCUT_SIZE
+        b = rng.normal(size=4)
+        c = A.sum(axis=0)
+        base = A @ b
+        for scale in (1.0, 1e3, 1e12, 1e299):
+            for gap in (0.0, 1e-13, 1e-12, 2e-12, 5e-10, 1e-9, 1.0000001e-9, 2e-9):
+                r = base * scale - rng.exponential(size=m) * scale
+                i = int(rng.integers(m))
+                r[i] = base[i] * scale + gap * (abs(base[i]) * scale + abs(r[i]) + 1.0)
+                bs = b * scale
+                value = float(c @ bs)
+                try:
+                    lp_module._certify(A, r, c, bs, value)
+                    passed = True
+                except NumericalBreakdown as exc:
+                    assert "infeasible" in str(exc)
+                    passed = False
+                assert passed == _reference_feasibility(A, r, bs), (m, scale, gap)
