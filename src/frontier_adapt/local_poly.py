@@ -63,6 +63,12 @@ def window_bounds(n: int, x: float, h: float) -> tuple[int, int]:
     return lo - 1, max(lo - 1, hi)
 
 
+def _window_scale(h):
+    """min(h, 2): every h >= 1 spans the whole design, and a huge h would
+    squeeze the window coordinates to zeros and flatten the fit."""
+    return min(h, 2.0)
+
+
 def window_indices(n: int, x: float, h: float) -> np.ndarray:
     """Zero-based indices j-1 with |j/n - x| <= h (tiny fp slack included)."""
     return np.arange(*window_bounds(n, x, h), dtype=np.intp)
@@ -101,9 +107,8 @@ def _solve_window(sample: Sample, x: float, h: float, degree: int):
     """Envelope LP at x with bandwidth h in centered, scaled coordinates.
 
     Returns (solution, shift, scale, window size); the solution's
-    coefficients are in t = (x_j - x)/scale and its responses are shifted
-    down by shift.  scale = min(h, 2): every h >= 1 spans the whole design,
-    and a huge h would squeeze t to zeros and flatten the fit.
+    coefficients are in t = (x_j - x)/scale, scale = _window_scale(h), and
+    its responses are shifted down by shift.
     """
     if degree < 0:
         raise ValueError("degree must be >= 0")
@@ -115,27 +120,14 @@ def _solve_window(sample: Sample, x: float, h: float, degree: int):
         raise WindowTooSmall(
             f"window at x={x} with h={h} has {meff} points, needs {degree + 2}"
         )
-    scale = min(h, 2.0)
-    t = np.arange(start + 1, stop + 1, dtype=float)
-    t /= sample.n
-    t -= x
-    t /= scale
-    yw = sample.ys[start:stop]
-    shift = yw.max()
-    if spread_overflows(shift, yw.min()):
-        # finite responses such as 1e308 and -1e308
-        raise NumericalBreakdown(f"shifted responses at x={x} with h={h} overflow")
-
-    # np.vander(t, degree + 1, increasing=True) as the transpose of a
-    # row-major basis: phase 1 fills each tableau row from a contiguous row
-    powers, objective = _power_basis(t, degree)
-    sol = solve_lp(_unchecked_lp(objective, powers.T, yw - shift))
+    _, powers, objective, rhs, shift = _window_lps(sample, x, start, meff, h, degree)
+    sol = solve_lp(_unchecked_lp(objective, powers.T, rhs))
     if sol.status != OPTIMAL:
         # feasible by construction (raising the constant term clears all
         # constraints) and bounded below by sum(yw), so anything else is
         # a numerical failure
         raise NumericalBreakdown(f"envelope LP returned status {sol.status}")
-    return sol, shift, scale, meff
+    return sol, shift, _window_scale(h), meff
 
 
 def fit_local(sample: Sample, x: float, h: float, degree: int) -> PolyFit:
@@ -168,14 +160,12 @@ def estimate_windows(sample: Sample, xs, starts, meff: int, h: float, degree: in
     """Envelope estimates at points xs whose windows all hold meff points.
 
     The window of xs[i] starts at the zero-based design index starts[i]; the
-    caller has it from window_bounds, with meff >= degree + 2.  The LPs are
-    built as _solve_window builds them, one array operation for all points,
-    and solved in lockstep batches of lp.batch_size.  Returns (values,
-    iterations, solved).  Where solved, values[i] is estimate_at(sample,
-    xs[i], h, degree) bit for bit and iterations[i] counts its LP's pivots;
-    elsewhere values[i] is NaN, and estimate_at gives the value or raises
-    NumericalBreakdown.  A window whose responses overflow when shifted is
-    not solved.
+    caller has it from window_bounds, with meff >= degree + 2.  _window_lps
+    stacks their LPs, which are solved in lockstep batches of lp.batch_size.
+    Returns (values, iterations, solved).  Where solved, values[i] is
+    estimate_at(sample, xs[i], h, degree) bit for bit and iterations[i]
+    counts its LP's pivots; elsewhere values[i] is NaN, and estimate_at
+    gives the value or raises NumericalBreakdown.
     """
     xs = np.asarray(xs, dtype=float)
     starts = np.asarray(starts, dtype=np.intp)
@@ -187,30 +177,45 @@ def estimate_windows(sample: Sample, xs, starts, meff: int, h: float, degree: in
         idx = np.arange(lo, min(lo + step, xs.size))
         fits, powers, objective, rhs, shift = _window_lps(
             sample, xs[idx], starts[idx], meff, h, degree)
-        idx = idx[fits]
         b, iterations[idx], solved[idx] = solve_lp_batch(
             powers.transpose(0, 2, 1), rhs, objective)
-        values[idx] = b[:, 0] + shift
+        solved[idx] &= fits
+        values[idx] = np.where(fits, b[:, 0] + shift[:, 0], np.nan)
     return values, iterations, solved
 
 
 def _window_lps(sample, xs, starts, meff, h, degree):
-    """The envelope LPs that _solve_window builds at xs, stacked.
+    """The envelope LPs of _solve_window at points xs whose windows hold
+    the meff design points from the zero-based index starts.
 
-    Returns (fits, powers, objective, rhs, shift): fits marks the points
-    whose shifted responses do not overflow, and the rest holds their LPs
-    alone, with powers of shape (points, degree + 1, meff).
+    xs and starts are a float and an int for one window, whose responses
+    stay a view of the sample, or 1-D arrays for a stack of windows, one
+    per row.  Returns (fits, powers, objective, rhs, shift): powers has
+    shape (..., degree + 1, meff), the constraint matrix transposed, and
+    rhs holds the responses less their maximum, shift.  Where that would
+    overflow, one window raises NumericalBreakdown, and in a stack fits
+    marks the window False and its rhs holds zeros.
     """
-    yw = sample.ys[starts[:, None] + np.arange(meff)]
-    shift = yw.max(axis=1)
-    fits = np.array([not spread_overflows(top, bottom)
-                     for top, bottom in zip(shift.tolist(), yw.min(axis=1).tolist())], dtype=bool)
-    if not fits.all():
-        xs, starts, yw, shift = xs[fits], starts[fits], yw[fits], shift[fits]
-    t = (starts[:, None] + np.arange(1, meff + 1)) / sample.n - xs[:, None]
-    t /= min(h, 2.0)
+    if isinstance(starts, np.ndarray):
+        yw = sample.ys[starts[:, None] + np.arange(meff)]
+        shift = yw.max(axis=1, keepdims=True)
+        fits = np.array([not spread_overflows(top, bottom)
+                         for top, bottom in zip(shift[:, 0].tolist(), yw.min(axis=1).tolist())])
+        if not fits.all():
+            yw = np.where(fits[:, None], yw, shift)
+        t = np.arange(1.0, meff + 1) + starts[:, None]
+        xs = xs[:, None]
+    else:
+        yw = sample.ys[starts : starts + meff]
+        shift, fits = yw.max(), True
+        if spread_overflows(shift, yw.min()):  # finite responses such as 1e308 and -1e308
+            raise NumericalBreakdown(f"shifted responses at x={xs} with h={h} overflow")
+        t = np.arange(starts + 1, starts + meff + 1, dtype=float)
+    t /= sample.n
+    t -= xs
+    t /= _window_scale(h)
     powers, objective = _power_basis(t, degree)
-    return fits, powers, objective, yw - shift[:, None], shift
+    return fits, powers, objective, yw - shift, shift
 
 
 def _power_basis(t, degree):
@@ -225,9 +230,10 @@ def _power_basis(t, degree):
     """
     m = t.shape[-1]
     powers = np.empty(t.shape[:-1] + (degree + 1, m))
-    powers[..., 0, :] = 1.0
+    row = powers[..., 0, :]
+    row[...] = 1.0
     for j in range(1, degree + 1):
-        np.multiply(powers[..., j - 1, :], t, out=powers[..., j, :])
+        row = np.multiply(row, t, out=powers[..., j, :])
     objective = np.empty(powers.shape[:-1])
     objective[..., 0] = m
     objective[..., 1:] = np.add.accumulate(powers[..., 1:, :], axis=-1)[..., -1]

@@ -57,6 +57,11 @@ INFEASIBLE = "infeasible"
 
 FEASIBILITY_TOL = 1e-9   # relative, on recovered-solution slacks
 PIVOT_TOL = 1e-12        # pivot magnitudes below this raise NumericalBreakdown
+PHASE1_STOP_TOL = 1e-9   # phase 1 stops at reduced costs >= -this * max(1, max|c|)
+ARTIFICIAL_TOL = 1e-7    # an artificial sum above this * max(1, max|c|): dual infeasible
+PHASE2_STOP_TOL = 1e-9   # phase 2 stops at reduced costs >= -this * max(1, max|r|)
+RATIO_BAND_TOL = 1e-9    # ratios within this of the least, relative, tie for leaving
+DUALITY_GAP_TOL = 1e-7   # relative, on the recovered solution's duality gap
 _MAX_PIVOT_FACTOR = 200  # safety cap: pivots <= factor * (rows + cols)
 _STALL_LIMIT = 30        # consecutive degenerate pivots before Bland's rule
 PHASE1_MEMO_BYTES = 1 << 20  # cap on the phase-1 memo's keys and tableaux
@@ -202,7 +207,7 @@ def _run_simplex(T, basis, n_enterable, tol_rc):
                     f"all pivot candidates in column {j} are below {PIVOT_TOL}"
                 )
             return UNBOUNDED, pivots
-        band = rmin + 1e-9 * (1.0 + abs(rmin))
+        band = rmin + RATIO_BAND_TOL * (1.0 + abs(rmin))
         leave = -1
         if not has_nan:
             for i, ratio in enumerate(ratios):
@@ -225,6 +230,56 @@ def _run_simplex(T, basis, n_enterable, tol_rc):
             raise NumericalBreakdown("simplex pivot limit exceeded")
 
 
+# The scalar and the lockstep engine's one copy of each rule below: on a
+# leading stack axis each problem gets what it would get alone, bit for bit.
+
+def _signs(c):
+    """The row-sign flips D that make the dual right-hand side |c| >= 0."""
+    return np.where(c < 0.0, -1.0, 1.0)
+
+
+def _scale(v):
+    """max(1, max|v|) along the last axis, the scale of a simplex stop."""
+    return np.abs(v).max(axis=-1, initial=1.0)
+
+
+def _dual_tableau(A, c):
+    """The phase-1 tableau of the dual of min{c.b : Ab >= r}, its basis
+    (the artificials) and phase 1's stop.  A has shape (..., m, nv), c
+    (..., nv) and T (..., nv + 1, m + nv + 1): the rows D A' | I | |c| over
+    the artificial sum priced out, 0 less the column sums of the rows
+    above, added in row order, and 1 - 1 = 0 on the artificials.
+    """
+    *lead, m, nv = A.shape
+    ncols = m + nv
+    T = np.empty((*lead, nv + 1, ncols + 1))
+    # row i is column i of A, one contiguous pass for a Fortran-ordered A
+    np.multiply(np.swapaxes(A, -1, -2), _signs(c)[..., None], out=T[..., :nv, :m])
+    T[..., :nv, m:] = 0.0
+    T.reshape(*lead, -1)[..., m : nv * (ncols + 2) : ncols + 2] = 1.0  # I on the artificials
+    T[..., :nv, -1] = np.abs(c)
+    basis = np.empty((*lead, nv), dtype=np.intp)
+    basis[...] = np.arange(m, ncols)
+    last = T[..., -1, :]
+    np.add.reduce(T[..., :nv, :], axis=-2, out=last)
+    np.subtract(0.0, last, out=last)
+    last[..., m:ncols] = 0.0
+    return T, basis, PHASE1_STOP_TOL * _scale(c)
+
+
+def _price_phase2(T, basis, r):
+    """Phase 2's objective row, minimize (-r) . lam, priced out by the
+    basis (a stacked matmul rounds as the vector-matrix products of its
+    slices); returns phase 2's stop."""
+    m, nv = r.shape[-1], basis.shape[-1]
+    last = T[..., -1, :]
+    np.negative(r, out=last[..., :m])
+    last[..., m:] = 0.0
+    cb = last[basis] if basis.ndim == 1 else np.take_along_axis(last, basis, -1)
+    last -= np.matmul(cb[..., None, :], T[..., :nv, :])[..., 0, :]
+    return PHASE2_STOP_TOL * _scale(r)
+
+
 def _phase1(A, c):
     """Phase 1 on the dual of min{c.b : Ab >= r}; it reads A and c only.
 
@@ -232,32 +287,14 @@ def _phase1(A, c):
     zero-level artificials out of the basis.  Returns (T, basis, pivots),
     with T and basis None when the dual is infeasible.
     """
-    m, nv = A.shape
-    sign = np.where(c < 0.0, -1.0, 1.0)
-    ncols = m + nv
-    T = np.empty((nv + 1, ncols + 1))
-    # row i is column i of A, one contiguous pass for a Fortran-ordered A
-    np.multiply(A.T, sign[:, None], out=T[:nv, :m])
-    T[:nv, m:] = 0.0
-    T.ravel()[m : nv * (ncols + 2) : ncols + 2] = 1.0  # identity on the artificials
-    abs_c = np.abs(c)
-    T[:nv, -1] = abs_c
-    cscale = max(1.0, abs_c.max())
-    basis = np.arange(m, ncols)
-
-    # the artificial sum priced out: 0 less the column sums of the rows
-    # above, added in row order, and 1 - 1 = 0 on the artificials
-    last = T[-1]
-    np.add.reduce(T[:nv], axis=0, out=last)
-    np.subtract(0.0, last, out=last)
-    last[m:ncols] = 0.0
-    status, pivots = _run_simplex(T, basis, ncols, 1e-9 * cscale)
+    T, basis, tol = _dual_tableau(A, c)
+    status, pivots = _run_simplex(T, basis, T.shape[1] - 1, tol)
     if status != OPTIMAL:
         raise NumericalBreakdown("phase 1 terminated unbounded")
-    if -T[-1, -1] > 1e-7 * cscale:
+    if -T[-1, -1] > ARTIFICIAL_TOL * _scale(c):
         return None, None, pivots
 
-    return T, basis, pivots + _drive_out(T, basis, m)
+    return T, basis, pivots + _drive_out(T, basis, A.shape[0])
 
 
 def _drive_out(T, basis, m):
@@ -341,19 +378,13 @@ def _solve_via_dual(A, r, c):
     if T is None:
         return "dual_infeasible", None, np.nan, pivots
 
-    # phase 2: minimize (-r) . lam with artificials barred from entering
-    m, nv = A.shape
-    ncols = m + nv
-    np.negative(r, out=T[-1, :m])
-    T[-1, m:] = 0.0
-    T[-1] -= T[-1, basis] @ T[:nv]
-    status, p2 = _run_simplex(T, basis, m, 1e-9 * max(1.0, np.abs(r).max()))
+    # phase 2, with the artificials barred from entering
+    status, p2 = _run_simplex(T, basis, r.size, _price_phase2(T, basis, r))
     pivots += p2
     if status == UNBOUNDED:
         return "dual_unbounded", None, np.nan, pivots
-
-    b = np.where(c < 0.0, -1.0, 1.0) * T[-1, m:ncols]
-    return "dual_optimal", b, T[-1, -1], pivots
+    # b = -D y, y read off the objective row under the artificials
+    return "dual_optimal", _signs(c) * T[-1, r.size : -1], T[-1, -1], pivots
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
@@ -413,42 +444,47 @@ def _certify(A, r, c, b, dual_value):
         worst = (slack / rowscale).min() if slack.size else 0.0
         if not worst >= -FEASIBILITY_TOL:  # a NaN slack fails too
             raise NumericalBreakdown(f"recovered vertex infeasible (relative {worst:.2e})")
-    if not abs(value - dual_value) <= 1e-7 * max(1.0, abs(value)):
+    if not _gap_closed(value, dual_value):
         raise NumericalBreakdown(
             f"duality gap {value - dual_value:.2e} exceeds tolerance"
         )
     return value
 
 
+def _gap_closed(value, dual_value):
+    """Whether |c . b - dual value| <= DUALITY_GAP_TOL max(1, |c . b|)."""
+    gap = abs(value - dual_value)
+    return (gap <= DUALITY_GAP_TOL) | (gap <= DUALITY_GAP_TOL * abs(value))
+
+
 def _clearly_feasible(A, r, b):
-    """True when the finite vertex b passes _certify's feasibility test by
-    a margin of 1e-12, far more than the rounding by which slacks summed
-    in another order can differ.
+    """Whether the finite vertex b passes _certify's feasibility test by a
+    margin of 1e-12, far more than the rounding by which slacks summed in
+    another order can differ.
 
     No sum |A_ij b_j| + |r_i| reaches 1e300, so nothing overflows in any
     order, and every slack is at least -FEASIBILITY_TOL + 1e-12, so every
     slack over its row scale of 1 or more is too.
     """
-    bound = np.abs(b).sum() * max(A.max(), -A.min()) + max(r.max(), -r.min())
-    if not bound < 1e300:
-        return False
-    slack = A @ b
+    bound = (np.abs(b).sum(axis=-1) * np.maximum(A.max(axis=(-2, -1)), -A.min(axis=(-2, -1)))
+             + np.maximum(r.max(axis=-1), -r.min(axis=-1)))
+    slack = np.matmul(A, b[..., None])[..., 0]
     slack -= r
-    return bool(slack.min() >= -FEASIBILITY_TOL + 1e-12)
+    return (bound < 1e300) & (slack.min(axis=-1) >= -FEASIBILITY_TOL + 1e-12)
 
 
 def _run_lockstep(T, basis, owner, n_enterable, tol_rc, pivots, live):
     """_run_simplex on the tableau of every live problem, in lockstep.
 
-    T[i] and basis[i] hold problem owner[i]'s tableau and basis.  Each live
-    problem's tableau gets the pivots _run_simplex would make on it under
-    Dantzig pricing, with the same products, and ends optimal.  A problem
-    whose tableau would go on to Bland's rule, or would meet a NaN, an
-    infinite ratio, no pivot candidate or the pivot cap, is dropped: live[p]
-    is cleared and its tableau is left part-way.  Adds each problem's pivots
-    to pivots[p].  The pivots run on a prefix of T that shrinks as tableaux
-    finish: a finished one swaps places with a working one behind it, so T,
-    basis and owner end permuted alike.
+    T[i], basis[i] and tol_rc[i] hold problem owner[i]'s tableau, basis
+    and stop.  Each live problem's tableau gets the pivots _run_simplex
+    would make on it under Dantzig pricing, with the same products, and
+    ends optimal.  A problem whose tableau would go on to Bland's rule, or
+    would meet a NaN, an infinite ratio, no pivot candidate or the pivot
+    cap, is dropped: live[p] is cleared and its tableau is left part-way.
+    Adds each problem's pivots to pivots[p].  The pivots run on a prefix of
+    T that shrinks as tableaux finish: a finished one swaps places with a
+    working one behind it, so T, basis, tol_rc and owner end permuted alike.
     """
     P, nrows, width = T.shape[0], T.shape[1] - 1, T.shape[2]
     max_pivots = _MAX_PIVOT_FACTOR * (width + nrows)
@@ -456,9 +492,9 @@ def _run_lockstep(T, basis, owner, n_enterable, tol_rc, pivots, live):
     count = np.zeros(P, dtype=int)
     ratios = np.empty((P, nrows))
     update = np.empty((P, width))
-    k = _keep_in_front(live[owner], P, (T, basis, owner))
+    k = _keep_in_front(live[owner], P, (T, basis, tol_rc, owner))
     while k:
-        W, Wb, tol, p = T[:k], basis[:k], tol_rc[owner[:k]], np.arange(k)
+        W, Wb, tol, p = T[:k], basis[:k], tol_rc[:k], np.arange(k)
         rc = W[:, -1, :n_enterable]
         j = rc.argmin(axis=1)
         rcj = rc[p, j]
@@ -471,7 +507,7 @@ def _run_lockstep(T, basis, owner, n_enterable, tol_rc, pivots, live):
         ratios[:k].fill(math.inf)
         np.divide(W[:, :nrows, -1], col, out=ratios[:k], where=col > PIVOT_TOL)
         rmin = ratios[:k].min(axis=1)
-        band = rmin + 1e-9 * (1.0 + np.abs(rmin))
+        band = rmin + RATIO_BAND_TOL * (1.0 + np.abs(rmin))
         leave = np.where(ratios[:k] <= band[:, None], Wb, width).argmin(axis=1)
         stall[:k] = np.where(rmin <= 0.0, stall[:k] + 1, 0)
         drop |= ~done & (~np.isfinite(rmin) | (stall[:k] > _STALL_LIMIT)
@@ -479,7 +515,7 @@ def _run_lockstep(T, basis, owner, n_enterable, tol_rc, pivots, live):
         if done.any() or drop.any():
             pivots[owner[:k][done]] += count[:k][done]
             live[owner[:k][drop]] = False
-            k = _keep_in_front(~(done | drop), k, (T, basis, owner, stall, count, j, leave))
+            k = _keep_in_front(~(done | drop), k, (T, basis, tol_rc, owner, stall, count, j, leave))
             W, Wb, p, j, leave = T[:k], basis[:k], p[:k], j[:k], leave[:k]
         # _pivot on every tableau: the pivot row divided, then each row less
         # its entry in column j times the pivot row, one row at a time
@@ -533,37 +569,18 @@ def solve_lp_batch(A, r, c):
     live = np.ones(P, dtype=bool)
     owner = np.arange(P)  # T[i] holds problem owner[i]'s tableau
     with np.errstate(over="ignore", invalid="ignore"):
-        # phase 1, as _phase1 builds and runs it
-        sign = np.where(c < 0.0, -1.0, 1.0)
-        T = np.zeros((P, nv + 1, ncols + 1))
-        np.multiply(A.transpose(0, 2, 1), sign[:, :, None], out=T[:, :nv, :m])
-        T[:, np.arange(nv), m + np.arange(nv)] = 1.0
-        abs_c = np.abs(c)
-        T[:, :nv, -1] = abs_c
-        cscale = np.maximum(1.0, abs_c.max(axis=1))
-        basis = np.tile(np.arange(m, ncols), (P, 1))
-        T[:, -1, m:ncols] = 1.0
-        # T[:nv].sum(axis=0) of each tableau: the rows added in order from +0.0
-        total = T[:, 0] + 0.0
-        for i in range(1, nv):
-            total += T[:, i]
-        T[:, -1] -= total
-        _run_lockstep(T, basis, owner, ncols, 1e-9 * cscale, pivots, live)
-        live[owner] &= -T[:, -1, -1] <= 1e-7 * cscale[owner]
+        # phase 1 as _phase1 runs it, each tableau permuted along with owner
+        T, basis, tol = _dual_tableau(A, c)
+        _run_lockstep(T, basis, owner, ncols, tol, pivots, live)
+        live[owner] &= ~(-T[:, -1, -1] > ARTIFICIAL_TOL * _scale(c[owner]))
         for i in np.flatnonzero(live[owner] & (basis >= m).any(axis=1)):
             pivots[owner[i]] += _drive_out(T[i], basis[i], m)
 
-        # phase 2, each objective row priced as _solve_via_dual prices it: a
-        # stacked matmul rounds as the per-tableau products of its slices
-        costs = np.zeros((P, ncols + 1))
-        costs[:, :m] = -r[owner]
-        T[:, -1] = costs
-        T[:, -1] -= np.matmul(np.take_along_axis(costs, basis, 1)[:, None], T[:, :nv])[:, 0]
-        tol = 1e-9 * np.maximum(1.0, np.abs(r).max(axis=1))
+        # phase 2 as _solve_via_dual runs it
+        tol = _price_phase2(T, basis, r[owner])
         _run_lockstep(T, basis, owner, m, tol, pivots, live)
-        slot = np.empty(P, dtype=np.intp)
-        slot[owner] = np.arange(P)
-        b = sign * T[slot, -1, m:ncols]
+        slot = np.argsort(owner)
+        b = _signs(c) * T[slot, -1, m:ncols]
         live &= _certified(A, r, c, b, T[slot, -1, -1], live)
     b[~live] = np.nan
     return b, pivots, live
@@ -572,28 +589,13 @@ def solve_lp_batch(A, r, c):
 def _certified(A, r, c, b, dual_value, live):
     """Which live problems pass _certify.
 
-    One stacked computation settles every problem whose slacks and duality
-    gap clear the certificate's tolerances by 1e-12 of their scale, far more
-    than the rounding by which it can differ from _certify's; each other
-    live problem gets _certify itself.
+    Each value c . b is _certify's dot product, bit for bit, so the value
+    and gap tests decide as there, and _clearly_feasible settles most
+    vertices at once; each other live problem gets _certify itself.
     """
-    value = np.einsum("pj,pj->p", c, b)
-    size = np.einsum("pj,pj->p", np.abs(c), np.abs(b)) + np.abs(dual_value) + 1.0
-    slack = -r
-    rowscale = np.abs(r)
-    for i in range(b.shape[1]):
-        slack += A[:, :, i] * b[:, i, None]
-        rowscale += np.abs(A[:, :, i]) * np.abs(b[:, i, None])
-    np.maximum(rowscale, 1.0, out=rowscale)
-    err = 1e-12 * size
-    clear = (
-        (size < 1e300)
-        & np.isfinite(rowscale).all(axis=1)
-        & ((slack / rowscale).min(axis=1) >= -FEASIBILITY_TOL + 1e-12)
-        & (np.abs(value - dual_value) + err <= 1e-7 * np.maximum(1.0, np.abs(value) - err))
-    )
-    ok = live & clear
-    for p in np.flatnonzero(live & ~clear):
+    value = np.matmul(c[:, None], b[:, :, None])[:, 0, 0]
+    ok = live & np.isfinite(value) & _gap_closed(value, dual_value) & _clearly_feasible(A, r, b)
+    for p in np.flatnonzero(live & ~ok):
         try:
             _certify(A[p], r[p], c[p], b[p], dual_value[p])
             ok[p] = True

@@ -8,6 +8,7 @@ so parallel fan-out reproduces the serial results exactly.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -47,11 +48,11 @@ class ErrorModel:
     def __post_init__(self):
         if self.kind not in ERROR_KINDS:
             raise UnknownName(f"unknown error model {self.kind!r}; choose from {ERROR_KINDS}")
-        if self.kind == "negexp" and not self.rate > 0.0:
-            raise InvalidConfig("negexp rate must be positive")
+        if self.kind == "negexp" and not 0.0 < self.rate < math.inf:
+            raise InvalidConfig(f"negexp rate must be positive and finite, got {self.rate!r}")
         if (self.kind in ("neggamma", "refgamma", "negweibull") and self.spatial is None
-                and not self.shape > 0.0):
-            raise InvalidConfig(f"{self.kind} shape must be positive")
+                and not 0.0 < self.shape < math.inf):
+            raise InvalidConfig(f"{self.kind} shape must be positive and finite, got {self.shape!r}")
         if self.spatial is not None and self.kind != "neggamma":
             raise InvalidConfig("spatial shape maps apply to neggamma only")
 
@@ -126,24 +127,33 @@ def alpha_profile(x):
     return np.sin(2.0 * np.pi * x + np.pi / 2.0) - np.sqrt(1.0 - x**2) + 2.0
 
 
+def check_seed(seed):
+    """Raise InvalidConfig unless seed is an integer >= 0 or a tuple or list of them."""
+    for s in seed if isinstance(seed, (tuple, list)) else (seed,):
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 0:
+            raise InvalidConfig(f"seed must be an integer >= 0, got {s!r}")
+
+
 def _rng_for(seed):
-    if isinstance(seed, (tuple, list)):
-        ss = np.random.SeedSequence([int(s) for s in seed])
-    else:
-        ss = np.random.SeedSequence(int(seed))
-    return np.random.default_rng(ss)
+    check_seed(seed)
+    entropy = [int(s) for s in seed] if isinstance(seed, (tuple, list)) else int(seed)
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def gen_sample(f, em: ErrorModel, n: int, seed) -> Sample:
     """Y_j = f(j/n) + eps_j on the equidistant design, deterministic per seed.
 
-    seed may be an int or a tuple of ints (e.g. (master_seed, replicate))."""
+    seed may be an int >= 0 or a tuple of them (e.g. (master_seed,
+    replicate)).  An error model that draws a non-finite error, such as
+    negexp at a subnormal rate, raises InvalidConfig."""
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidConfig("n must be an integer >= 2")
     xs = np.arange(1, n + 1, dtype=float) / n
     rng = _rng_for(seed)
-    ys = np.asarray(f(xs), dtype=float) + draw_errors(em, xs, rng)
-    return Sample(ys)
+    errors = draw_errors(em, xs, rng)
+    if not np.isfinite(errors).all():
+        raise InvalidConfig(f"error model {em.kind} drew a non-finite error")
+    return Sample(np.asarray(f(xs), dtype=float) + errors)
 
 
 def _replicate_loss(args):
@@ -156,7 +166,10 @@ def _replicate_loss(args):
             value, _ = adaptive_estimate(sample, replace(cfg, q=None), x=x0)
             if not np.isfinite(value):
                 return None
-            return (value - float(np.asarray(f(x0)))) ** 2
+            try:
+                return (value - float(np.asarray(f(x0)))) ** 2
+            except OverflowError:  # a float power raises; mc_risk rejects the inf
+                return math.inf
         q = float(target[1])
         xs = sample.xs()
         values, _ = adaptive_estimate(sample, replace(cfg, q=q), grid=xs)
@@ -190,14 +203,18 @@ def mc_risk(f, em: ErrorModel, cfg: EstimatorConfig, n: int, reps: int, target, 
     target = ("lq", q) gives the empirical q-th power loss averaged over the
     design.  Failed replicates are dropped, not imputed; more than 5%
     failures raises PipelineError, and a loss that overflows a float (a
-    large q) raises DegenerateInput.  Returns (risk, stderr).
+    large q, or errors near 1e300) raises DegenerateInput.  master_seed is
+    an integer >= 0; the pool holds at most min(threads, reps, CPUs)
+    workers.  Returns (risk, stderr).
     """
     if reps < 2:
         raise InvalidConfig("reps must be >= 2")
     check_target(target)
+    check_seed(master_seed)
     tasks = [(f, em, cfg, n, target, master_seed, r) for r in range(reps)]
-    # the pool starts all its workers at once, so never more than there are tasks
-    workers = min(int(threads), reps)
+    # the pool starts all its workers at once: never more than tasks or CPUs
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(int(threads), reps, cpus or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_replicate_loss, tasks, chunksize=max(1, reps // (4 * workers))))
@@ -209,8 +226,8 @@ def mc_risk(f, em: ErrorModel, cfg: EstimatorConfig, n: int, reps: int, target, 
         raise PipelineError(f"{dropped} of {reps} replicates failed")
     arr = np.asarray(losses, dtype=float)
     if not np.all(np.isfinite(arr)):
-        # only the L_q loss can get here: a squared point loss is a finite float
-        raise DegenerateInput(f"the loss |f_hat - f|^q overflows a float at q={target[1]!r}")
+        q = 2.0 if target[0] == "point" else target[1]
+        raise DegenerateInput(f"the loss |f_hat - f|^q overflows a float at q={q!r}")
     risk = float(arr.mean())
     stderr = float(arr.std(ddof=1) / math.sqrt(arr.size))  # reps >= 2 and <= 5% dropped
     return risk, stderr

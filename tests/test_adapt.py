@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frontier_adapt import adapt, local_poly
+from frontier_adapt import adapt, local_poly, lp
 from frontier_adapt.adapt import (
     DEFAULT_J_BETA,
     CriticalValues,
@@ -440,6 +440,23 @@ def test_batched_rows_equal_per_point_fits(monkeypatch, n, seed, em):
         sample, sample.xs(), grid.bandwidths[: grid.K + 1], 2, pivots)
     assert rows.fallbacks == 0
     assert len(pivots) > 0.6 * n * (grid.K + 1)
+
+
+@pytest.mark.parametrize("stop", [lp.FEASIBILITY_TOL, 0.0, 1e-3])
+def test_one_phase2_stop_for_both_engines(monkeypatch, stop):
+    # both engines read the one phase-2 stop: moved to FEASIBILITY_TOL, to 0
+    # (233 of the 2,400 fits of this noiseless sample take other pivot paths)
+    # or to 1e-3 (825 stop early and fail the certificate), batched rows
+    # still equal the per-point fits, pivot counts and failures included
+    sample = gen_sample(builtin_f("f2"), ErrorModel("zero"), 400, (0, 0))
+    grid = build_grid(400, 0.4, 2.0)
+    bandwidths = grid.bandwidths[: grid.K + 1]
+    pivots = _batched_pivots(monkeypatch)
+    list(EnvelopeRows(sample, sample.xs(), bandwidths, 2))
+    default = dict(pivots)
+    monkeypatch.setattr(lp, "PHASE2_STOP_TOL", stop)
+    _assert_rows_match_per_point_fits(sample, sample.xs(), bandwidths, 2, pivots)
+    assert (pivots == default) == (stop == lp.FEASIBILITY_TOL)
 
 
 def test_batch_fallbacks_keep_the_per_point_values(monkeypatch):

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frontier_adapt.cli import _build_parser, main
+from frontier_adapt.simkit import ERROR_KINDS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -562,6 +563,53 @@ def test_hostile_setting_exits_cleanly(tmp_path, argv, code):
         assert proc.stderr.startswith("error[config] InvalidConfig:"), proc.stderr
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
         assert not (tmp_path / "out.csv").exists()
+
+
+_SIMULATE = ["simulate", "--f", "f2", "--n", "40"]
+_RATES = ["rates", "--f", "f2", "--n-list", "30,40,50", "--reps", "2"]
+
+
+@pytest.mark.parametrize("command", [_SIMULATE, _RATES, _RATES + ["--threads", "2"]])
+@pytest.mark.parametrize("model", [
+    ["--em", "negexp", "--seed", "-1"],
+    ["--em", "neggamma", "--shape", "inf"],
+    ["--em", "negexp", "--rate", "1e-320"],
+    ["--em", "negweibull", "--shape", "1e-320"],
+])
+def test_negative_seed_or_non_finite_draws_exit_2(tmp_path, command, model):
+    # a negative seed, an infinite shape, and finite parameters whose draws
+    # overflow: one error[config] line, before or inside the worker pool
+    code, err = _run_quietly([*command, *model, "--out", str(tmp_path / "out.csv")])
+    assert code == 2, err
+    assert err.startswith("error[config] InvalidConfig:") and err.count("\n") == 1, err
+    assert not (tmp_path / "out.csv").exists()
+
+
+_MODEL_VALUES = st.sampled_from(["5e-324", "-5e-324", "1e-320", "1e-300", "0", "-1", "2.5",
+                                 "1e300", "1.7976931348623157e308", "inf", "-inf", "nan"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(rates=st.booleans(), em=st.sampled_from(ERROR_KINDS), rate=_MODEL_VALUES,
+       shape=_MODEL_VALUES, profile=st.booleans(),
+       seed=st.sampled_from(["0", "3", "-1", "-9223372036854775808", "18446744073709551616",
+                             "1" + "0" * 30]))
+def test_model_flags_and_seeds_exit_cleanly(rates, em, rate, shape, profile, seed):
+    # hostile error-model parameters and seeds give a result or one
+    # error[config] line; errors near -1e300 make the Monte Carlo loss
+    # overflow a float, the documented numeric error.  No traceback or warning.
+    command = _RATES + ["--threads", "1"] if rates else ["simulate", "--f", "f2", "--n", "60"]
+    argv = [*command, "--em", em, f"--rate={rate}", f"--shape={shape}", f"--seed={seed}"]
+    if profile and em == "neggamma":
+        argv += ["--alpha-profile", "builtin"]
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = _run_quietly([*argv, "--out", os.path.join(tmp, "out.csv")])
+    assert code in (0, 2, 4), err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.count("\n") == 1, err
+        assert err.startswith("error[config]" if code == 2 else "error[numeric]"), err
 
 
 def test_package_import_leaves_scipy_integrate_unloaded():

@@ -452,6 +452,59 @@ def test_stacked_phase2_pricing_rounds_as_per_tableau():
             assert stacked.tobytes() == per_tableau.tobytes()
 
 
+def _stacked_problems(rng, P, m, nv, order):
+    """P problems of one shape: A as an envelope basis of random windows in
+    the given memory order, c with negative and zero entries, r <= 0."""
+    t = rng.uniform(-1.0, 1.0, size=(P, m)) * 10.0 ** rng.integers(-3, 1, (P, 1))
+    A = np.stack([np.vander(tp, nv, increasing=True) for tp in t])
+    if order == "F":
+        A = A.transpose(0, 2, 1).copy().transpose(0, 2, 1)
+    c = A.sum(axis=1) * rng.choice([-1.0, 0.0, 1.0], size=(P, nv))
+    return A, -rng.exponential(size=(P, m)), c
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_dual_tableau_and_pricing_of_a_stack_are_the_single_builds(order):
+    # the stacked tableau, basis, phase-1 stop, phase-2 row and stop equal
+    # the single builds slice by slice, bit for bit
+    rng = np.random.default_rng(5)
+    for nv in range(1, 11):
+        for m in (nv + 1, 17, 160, 1601):
+            A, r, c = _stacked_problems(rng, 6, m, nv, order)
+            T, basis, tol = lp_module._dual_tableau(A, c)
+            assert T.shape == (6, nv + 1, m + nv + 1) and basis.shape == (6, nv)
+            basis[:, 0] = rng.integers(0, m, size=6)  # a basis past phase 1
+            stop = lp_module._price_phase2(T, basis, r)
+            for p in range(6):
+                Tp, bp, tp = lp_module._dual_tableau(A[p], c[p])
+                assert bp.tolist() == list(range(m, m + nv)) and tp == tol[p]
+                bp[0] = basis[p, 0]
+                assert lp_module._price_phase2(Tp, bp, r[p]) == stop[p]
+                assert Tp.tobytes() == T[p].tobytes(), (order, nv, m, p)
+
+
+def test_stacked_certificate_decides_as_per_problem():
+    # the batch's values c . b are _certify's dot products bit for bit, and
+    # the stacked shortcut gives each problem its single answer
+    rng = np.random.default_rng(9)
+    for nv in range(1, 11):
+        c = rng.normal(size=(40, nv)) * 10.0 ** rng.integers(-8, 8, (40, 1))
+        b = rng.normal(size=(40, nv)) * 10.0 ** rng.integers(-8, 8, (40, 1))
+        stacked = np.matmul(c[:, None], b[:, :, None])[:, 0, 0]
+        assert stacked.tolist() == [float(cp @ bp) for cp, bp in zip(c, b)]
+        for order in ("C", "F"):
+            A, _, _ = _stacked_problems(rng, 8, 300, nv, order)
+            x = rng.normal(size=(8, nv))
+            base = np.matmul(A, x[..., None])[..., 0]
+            r = base - rng.exponential(size=(8, 300))
+            # one row's slack at, inside and outside the shortcut's margin
+            r[:, 7] = base[:, 7] + [-1e-6, 0.0, 5e-10, 1e-9 - 2e-12, 1e-9 - 1e-12, 1e-9, 2e-9, 1.0]
+            clear = lp_module._clearly_feasible(A, r, x)
+            assert clear.tolist() == [bool(lp_module._clearly_feasible(A[p], r[p], x[p]))
+                                      for p in range(8)]
+            assert clear.any() and not clear.all()
+
+
 def test_batch_size_keeps_the_tableaux_under_the_cap():
     for m, nv in ((2, 1), (39, 3), (307, 3), (1600, 5), (200000, 3)):
         p = lp_module.batch_size(m, nv)

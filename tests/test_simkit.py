@@ -1,6 +1,7 @@
 """Error models, builtin frontiers, Monte Carlo risk, and rate fitting."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -88,6 +89,11 @@ def test_error_model_validation():
         ErrorModel("refgamma", shape=-1.0)
     with pytest.raises(InvalidConfig):
         ErrorModel("negexp", spatial=lambda x: x)
+    for model in (dict(kind="negexp", rate=math.inf), dict(kind="negexp", rate=math.nan),
+                  dict(kind="neggamma", shape=math.inf), dict(kind="refgamma", shape=math.nan),
+                  dict(kind="negweibull", shape=math.inf)):
+        with pytest.raises(InvalidConfig, match="finite"):
+            ErrorModel(**model)
     bad = ErrorModel("neggamma", spatial=lambda x: -np.ones_like(x))
     with pytest.raises(InvalidConfig):
         draw_errors(bad, np.linspace(0, 1, 5), np.random.default_rng(0))
@@ -131,6 +137,11 @@ def test_gen_sample_determinism_and_validation():
     assert np.all(a.ys <= f(a.xs()) + 1e-12)
     with pytest.raises(InvalidConfig):
         gen_sample(f, em, 1, seed=0)
+    # finite parameters whose draws overflow: -Exponential with a scale of
+    # 1e320, and -Weibull with a shape of 1e-320
+    for model in (ErrorModel("negexp", rate=1e-320), ErrorModel("negweibull", shape=1e-320)):
+        with pytest.raises(InvalidConfig, match="non-finite"):
+            gen_sample(f, model, 20, 0)
 
 
 def test_mc_risk_noiseless_is_zero():
@@ -170,12 +181,68 @@ def test_mc_risk_pool_never_exceeds_reps(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr("frontier_adapt.simkit.ProcessPoolExecutor", RecordingPool)
+    # more CPUs than threads, so the pool's size is capped by the tasks alone
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     args = (builtin_f("f2"), ErrorModel("negexp"), EstimatorConfig(), 40, 3, ("point", 0.5))
     serial = mc_risk(*args, master_seed=1)
     assert sizes == []
     assert mc_risk(*args, master_seed=1, threads=8) == serial
     assert mc_risk(*args, master_seed=1, threads=2) == serial
     assert sizes == [3, 2]
+
+
+def test_mc_risk_pool_never_exceeds_the_cpus(monkeypatch):
+    # rates --threads 100000 --reps 100000 must not ask for 100,000 processes;
+    # this fake records the pool size and stops before any replicate runs
+    sizes = []
+
+    class Stop(Exception):
+        pass
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            raise Stop
+
+    monkeypatch.setattr("frontier_adapt.simkit.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    args = (builtin_f("f2"), ErrorModel("negexp"), EstimatorConfig(), 40)
+    with pytest.raises(Stop):
+        mc_risk(*args, 100_000, ("point", 0.5), master_seed=1, threads=100_000)
+    assert sizes == [3]
+    # one CPU runs the replicates in-process, with the serial result
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    serial = mc_risk(*args, 3, ("point", 0.5), master_seed=1)
+    assert mc_risk(*args, 3, ("point", 0.5), master_seed=1, threads=4) == serial
+    assert sizes == [3]
+
+
+@pytest.mark.parametrize("seed", [-1, (0, -1), 1.5, "7", True, None])
+def test_seeds_must_be_nonnegative_integers(seed):
+    em = ErrorModel("negexp")
+    with pytest.raises(InvalidConfig, match="seed"):
+        gen_sample(builtin_f("f2"), em, 20, seed)
+    if not isinstance(seed, tuple):
+        # checked before any replicate starts, also with a worker pool
+        with pytest.raises(InvalidConfig, match="seed"):
+            mc_risk(builtin_f("f2"), em, EstimatorConfig(), 20, 2, ("point", 0.5),
+                    master_seed=seed, threads=2)
+
+
+def test_overflowing_point_loss_is_degenerate_input():
+    # errors near -1e300 put every estimate there, and its squared loss
+    # overflows a float
+    with pytest.raises(DegenerateInput, match="q=2"):
+        mc_risk(builtin_f("f2"), ErrorModel("neggamma", shape=1e300), EstimatorConfig(), 30, 2,
+                ("point", 0.5), master_seed=0)
 
 
 def test_mc_risk_validation():
