@@ -11,6 +11,7 @@ for empirical L_q losses through the integral transform iu_n.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings as _warnings
 from dataclasses import dataclass, field
 
@@ -45,20 +46,43 @@ class EstimatorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.beta_star, (int, np.integer)) or self.beta_star < 0:
-            raise InvalidConfig("beta_star must be an integer >= 0")
-        if not 0.0 < self.h0_exponent < 1.0:
-            raise InvalidConfig("h0_exponent must lie in (0, 1)")
-        if not self.rho > 1.0:
-            raise InvalidConfig("rho must exceed 1")
-        if not 0.0 < self.m_exponent < 1.0:
-            raise InvalidConfig("m_exponent must lie in (0, 1)")
-        if not self.c_beta > 0.0:
-            raise InvalidConfig("c_beta must be positive")
-        if not isinstance(self.j_beta, (int, np.integer)) or self.j_beta < 1:
-            raise InvalidConfig("j_beta must be an integer >= 1")
-        if self.q is not None and not 1.0 <= self.q < math.inf:
-            raise InvalidConfig("q must be finite and >= 1 (or None for pointwise)")
+        for name in _RULES:
+            if name != "q" or self.q is not None:
+                _check_setting(name, getattr(self, name))
+        check_seed(self.seed)
+
+
+# (integer?, range test, rule) of each numeric setting, pointwise q = None aside
+_RULES = {
+    "beta_star": (True, lambda v: v >= 0, "an integer >= 0 that fits a float"),
+    "h0_exponent": (False, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "rho": (False, lambda v: v > 1.0, "finite and > 1"),
+    "m_exponent": (False, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    "c_beta": (False, lambda v: v > 0.0, "finite and > 0"),
+    "j_beta": (True, lambda v: v >= 1, "an integer >= 1 that fits a float"),
+    "q": (False, lambda v: v >= 1.0, "finite and >= 1"),
+}
+
+
+def _check_setting(name, value):
+    """Raise InvalidConfig unless value is a real number (an integer where the
+    rule asks for one, never a bool) that a float holds and that its rule allows."""
+    integer, allowed, rule = _RULES[name]
+    kind = numbers.Integral if integer else numbers.Real
+    try:
+        ok = (isinstance(value, kind) and not isinstance(value, bool)
+              and math.isfinite(value) and allowed(value))
+    except OverflowError:  # an integer that no float holds
+        ok = False
+    if not ok:
+        raise InvalidConfig(f"{name} must be {rule}")
+
+
+def check_seed(seed):
+    """Raise InvalidConfig unless seed is an integer >= 0 or a tuple or list of them."""
+    for s in seed if isinstance(seed, (tuple, list)) else (seed,):
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 0:
+            raise InvalidConfig(f"seed must be an integer >= 0, got {s!r}")
 
 
 @dataclass(frozen=True)
@@ -76,10 +100,8 @@ def build_grid(n: int, h0_exponent: float, rho: float) -> BandwidthGrid:
     """Grid with h0 = n^(h0_exponent - 1) and K = floor(log_rho n^(1 - h0_exponent))."""
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidConfig("n must be an integer >= 2")
-    if not 0.0 < h0_exponent < 1.0:
-        raise InvalidConfig("h0_exponent must lie in (0, 1)")
-    if not rho > 1.0:
-        raise InvalidConfig("rho must exceed 1")
+    _check_setting("h0_exponent", h0_exponent)
+    _check_setting("rho", rho)
     h0 = float(n) ** (h0_exponent - 1.0)
     # the 1e-9 nudge keeps exact powers (e.g. rho = n^(1-h0_exponent)) from
     # flooring one step low on last-ulp noise
@@ -107,6 +129,18 @@ def _truncate_monotonize(raw) -> np.ndarray:
     return np.minimum.accumulate(np.minimum(raw, 1.0))
 
 
+def _critical_values(grid: BandwidthGrid, term, q=None) -> CriticalValues:
+    """zeta_k = term(k) for k < K, 1 where term raises DomainError, terminal 0."""
+    raw = np.zeros(grid.K + 1)
+    for k in range(grid.K):
+        try:
+            raw[k] = term(k)
+        except DomainError:
+            raw[k] = 1.0
+    kind = "pointwise" if q is None else "lq"
+    return CriticalValues(raw=raw, truncated=_truncate_monotonize(raw), kind=kind, q=q)
+
+
 def critical_values_pointwise(grid: BandwidthGrid, tail, cfg: EstimatorConfig) -> CriticalValues:
     """zeta_k = 4 c |A(alpha n h_k / (4 J log n))| for k < K, terminal 0.
 
@@ -115,11 +149,12 @@ def critical_values_pointwise(grid: BandwidthGrid, tail, cfg: EstimatorConfig) -
     J = cfg.j_beta
     logn = math.log(grid.n)
     alpha = 1.0 / tail.inv_alpha
-    raw = np.zeros(grid.K + 1)
-    for k in range(grid.K):
+
+    def term(k):
         y = alpha * grid.n * grid.bandwidths[k] / (4.0 * J * logn)
-        raw[k] = 1.0 if y < math.e else 4.0 * cfg.c_beta * abs(a_hat(tail, y))
-    return CriticalValues(raw=raw, truncated=_truncate_monotonize(raw), kind="pointwise")
+        return 1.0 if y < math.e else 4.0 * cfg.c_beta * abs(a_hat(tail, y))
+
+    return _critical_values(grid, term)
 
 
 def iu_n(s: float, q: float, tail, n: int) -> float:
@@ -141,8 +176,7 @@ def iu_n(s: float, q: float, tail, n: int) -> float:
 
     if s <= 0.0:
         raise DomainError("s must be positive")
-    if q < 1.0:
-        raise InvalidConfig("q must be >= 1")
+    _check_setting("q", q)
     inv_a = tail.inv_alpha
     b = tail.b_hat
     lo = float(n) ** (-2.0 * inv_a)
@@ -168,22 +202,12 @@ def iu_n(s: float, q: float, tail, n: int) -> float:
 def critical_values_lq(grid: BandwidthGrid, tail, q: float, cfg: EstimatorConfig) -> CriticalValues:
     """zeta_k = sqrt(5) c |iu_n(n h_k / (6 J), q)| for k < K, terminal 0."""
     J = cfg.j_beta
-    raw = np.zeros(grid.K + 1)
-    for k in range(grid.K):
+
+    def term(k):
         s = grid.n * grid.bandwidths[k] / (6.0 * J)
-        try:
-            raw[k] = math.sqrt(5.0) * cfg.c_beta * abs(iu_n(s, q, tail, grid.n))
-        except DomainError:
-            raw[k] = 1.0
-    return CriticalValues(raw=raw, truncated=_truncate_monotonize(raw), kind="lq", q=q)
+        return math.sqrt(5.0) * cfg.c_beta * abs(iu_n(s, q, tail, grid.n))
 
-
-def _fallback_cvs(K: int, q=None) -> CriticalValues:
-    """Fully truncated critical values for points with degenerate tails."""
-    raw = np.ones(K + 1)
-    raw[K] = 0.0
-    kind = "pointwise" if q is None else "lq"
-    return CriticalValues(raw=raw, truncated=_truncate_monotonize(raw), kind=kind, q=q)
+    return _critical_values(grid, term, q)
 
 
 def lepski_select(estimates, cvs: CriticalValues, q: float | None = None) -> int:
@@ -200,6 +224,10 @@ def lepski_select(estimates, cvs: CriticalValues, q: float | None = None) -> int
     K = zt.size - 1
     if len(estimates) != K + 1:
         raise ValueError("estimates must cover k = 0..K")
+    # On one-point rows the L_q norm with q = 1 equals |a - b| bit for bit,
+    # but it takes about 9 us per call against 0.1 us (2-core x86-64), and
+    # one mc_rates operation makes some 2,560 pointwise comparisons: so
+    # pointwise selection keeps its own distance.
     if q is None:
         estimates = np.asarray(estimates, dtype=float)
         if estimates.ndim != 1:
@@ -336,16 +364,16 @@ def _select_site(sample, cfg, grid, x_tail, fit_points, counters):
     cfg.q, per-k estimates at fit_points and the Lepski index over them.
 
     Pointwise selection fits every k = 0..K; L_q selection fits only the
-    rows it reads, k <= min(k_hat + 1, K).  Returns (tail estimate or None,
-    critical values, estimates of shape (k_hat+1, len(fit_points)), k_hat).
+    rows it reads, k <= min(k_hat + 1, K), and row k_hat.  Returns (tail
+    estimate or None, critical values, EnvelopeRows, k_hat).
     """
     try:
         te = estimate_tail_at(sample, x_tail, grid, cfg.m_exponent, counters)
     except DegenerateWindow:
         te = None
         _bump(counters, "tail_degenerate_points")
-    if te is None:
-        cvs = _fallback_cvs(grid.K, cfg.q)
+    if te is None:  # fully truncated critical values
+        cvs = _critical_values(grid, lambda k: 1.0, cfg.q)
     elif cfg.q is None:
         cvs = critical_values_pointwise(grid, te, cfg)
     else:
@@ -359,9 +387,8 @@ def _select_site(sample, cfg, grid, x_tail, fit_points, counters):
         k_hat = lepski_select([row[0] for row in rows], cvs)
     else:
         k_hat = lepski_select(rows, cvs, q=cfg.q)
-    # rows 0..k_hat, fitting row k_hat if the selection did not read it (K = 0)
-    ests = np.array([rows[k] for k in range(k_hat + 1)])
-    return te, cvs, ests, k_hat
+    rows[k_hat]  # fits row k_hat if the selection did not read it (K = 0)
+    return te, cvs, rows, k_hat
 
 
 def adaptive_estimate(sample: Sample, cfg: EstimatorConfig, x=None, grid=None):
@@ -403,18 +430,18 @@ def adaptive_estimate(sample: Sample, cfg: EstimatorConfig, x=None, grid=None):
     zsel = np.full(S, np.nan)
     sizes = np.zeros((S, K + 1), dtype=int)
     for i, (x_tail, fit_points) in enumerate(sites):
-        te, cvs, ests, k_hat = _select_site(sample, cfg, bgrid, x_tail, fit_points, counters)
+        te, cvs, rows, k_hat = _select_site(sample, cfg, bgrid, x_tail, fit_points, counters)
         if cfg.q is None:
-            value = ests[k_hat, 0]
+            value = rows[k_hat][0]
             if np.isnan(value):
                 # nearest fit that succeeded at a smaller bandwidth, if any
-                valid = np.flatnonzero(np.isfinite(ests[: k_hat + 1, 0]))
-                if valid.size:
-                    value = ests[valid[-1], 0]
+                below = [rows[k][0] for k in range(k_hat) if np.isfinite(rows[k][0])]
+                if below:
+                    value = below[-1]
                     _bump(counters, "selected_estimate_missing")
             values[i] = value
         elif x is None and pts.size == sample.n and np.allclose(pts, fit_points, rtol=0.0, atol=1e-12):
-            values = ests[k_hat].copy()
+            values = rows[k_hat].copy()
         else:
             h = bgrid.bandwidths[k_hat]
             values = EnvelopeRows(sample, pts, [h], cfg.beta_star, counters)[0]

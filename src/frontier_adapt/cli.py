@@ -24,7 +24,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -67,17 +67,13 @@ _CONFIG_FLAGS = {
 _ESTIMATOR_FLAGS = ("beta_star", "h0_exponent", "rho", "m_exponent", "c_beta", "j_beta")
 
 
-def _g17(v) -> str:
-    return "%.17g" % float(v)
-
-
 def _load_config_file(path):
     if path is None:
         return {}
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise InvalidConfig(f"config file {path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise InvalidConfig(f"config file {path}: expected a JSON object")
@@ -173,7 +169,14 @@ def _sha256(path):
     return digest.hexdigest()
 
 
+def _fields(record, *skip):
+    """The fields of a dataclass record by name, without those in skip."""
+    return {f.name: getattr(record, f.name) for f in fields(record) if f.name not in skip}
+
+
 def _jsonable(v):
+    if is_dataclass(v):
+        return _jsonable(_fields(v))
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -194,6 +197,15 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+def _write_csv(path, header, columns):
+    """One row per entry of the columns: an integer column as integers, any
+    other with 17 significant digits."""
+    line = ",".join("%d" if isinstance(c[0], (int, np.integer)) else "%.17g" for c in columns)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        fh.writelines(line % row + "\n" for row in zip(*columns))
+
+
 def _write_manifest(primary_out, command, cfg, input_paths, output_paths, t0):
     import scipy
 
@@ -201,7 +213,7 @@ def _write_manifest(primary_out, command, cfg, input_paths, output_paths, t0):
 
     manifest = {
         "command": command,
-        "config": asdict(cfg),
+        "config": cfg,
         "seed": cfg.seed,
         "inputs": {p: _sha256(p) for p in input_paths},
         "outputs": {p: _sha256(p) for p in output_paths},
@@ -213,9 +225,7 @@ def _write_manifest(primary_out, command, cfg, input_paths, output_paths, t0):
         },
         "elapsed_seconds": time.perf_counter() - t0,
     }
-    path = primary_out + ".manifest.json"
-    _write_json(path, manifest)
-    return path
+    _write_json(primary_out + ".manifest.json", manifest)
 
 
 def _error_model_from_args(args) -> ErrorModel:
@@ -227,88 +237,37 @@ def _error_model_from_args(args) -> ErrorModel:
     return ErrorModel(kind=args.em, rate=args.rate, shape=args.shape, spatial=spatial)
 
 
-def cmd_estimate(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _build_config(args)
+def cmd_estimate(args, cfg):
     xs_in, sample = _load_sample(args.input)
     pts = sample.xs()
     values, diag = adaptive_estimate(sample, cfg, grid=pts)
-    x_out = xs_in if xs_in is not None else pts
     # per-point columns in pointwise mode, one global value in L_q mode
-    k_col = np.broadcast_to(diag.k_hat, sample.n)
-    z_col = np.broadcast_to(diag.zeta_at_k_hat, sample.n)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("x,f_hat,k_hat,zeta_at_khat\n")
-        for xv, fv, kv, zv in zip(x_out, values, k_col, z_col):
-            fh.write(f"{_g17(xv)},{_g17(fv)},{int(kv)},{_g17(zv)}\n")
+    columns = (xs_in if xs_in is not None else pts, values,
+               np.broadcast_to(diag.k_hat, sample.n), np.broadcast_to(diag.zeta_at_k_hat, sample.n))
+    _write_csv(args.out, "x,f_hat,k_hat,zeta_at_khat", columns)
     diag_path = os.path.splitext(args.out)[0] + ".diagnostics.json"
-    _write_json(
-        diag_path,
-        {
-            "mode": diag.mode,
-            "n": sample.n,
-            "grid": asdict(diag.grid),
-            "alpha_hat": diag.alpha_hat,
-            "b_hat": diag.b_hat,
-            "k_alpha": diag.k_alpha,
-            "k_b": diag.k_b,
-            "k_hat": diag.k_hat,
-            "zeta_raw": diag.zeta_raw,
-            "zeta_truncated": diag.zeta_truncated,
-            "zeta_at_k_hat": diag.zeta_at_k_hat,
-            "counters": diag.counters,
-            "warnings": diag.warnings,
-        },
-    )
-    _write_manifest(args.out, "estimate", cfg, [args.input], [args.out, diag_path], t0)
-    print(f"wrote {args.out} ({sample.n} rows) and {diag_path}")
-    return 0
+    _write_json(diag_path, {**_fields(diag, "points", "window_sizes"), "n": sample.n})
+    message = f"wrote {args.out} ({sample.n} rows) and {diag_path}"
+    return [args.input], [args.out, diag_path], message
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _build_config(args)
-    f = builtin_f(args.f)
-    em = _error_model_from_args(args)
-    sample = gen_sample(f, em, args.n, cfg.seed)
-    xs = sample.xs()
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("x,y\n")
-        for xv, yv in zip(xs, sample.ys):
-            fh.write(f"{_g17(xv)},{_g17(yv)}\n")
-    _write_manifest(args.out, "simulate", cfg, [], [args.out], t0)
-    print(f"wrote {args.out} ({args.n} rows)")
-    return 0
+def cmd_simulate(args, cfg):
+    sample = gen_sample(builtin_f(args.f), _error_model_from_args(args), args.n, cfg.seed)
+    _write_csv(args.out, "x,y", (sample.xs(), sample.ys))
+    return [], [args.out], f"wrote {args.out} ({args.n} rows)"
 
 
-def cmd_tail(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _build_config(args)
+def cmd_tail(args, cfg):
     _, sample = _load_sample(args.input)
     grid = build_grid(sample.n, cfg.h0_exponent, cfg.rho)
     counters: dict = {}
     te = estimate_tail_at(sample, args.x, grid, cfg.m_exponent, counters)
     lo = max(math.e, math.log(sample.n))
     ygrid = np.geomspace(lo, float(sample.n) ** 4, 41)
-    _write_json(
-        args.out,
-        {
-            "x": args.x,
-            "n": sample.n,
-            "grid": asdict(grid),
-            "alpha_hat": 1.0 / te.inv_alpha,
-            "inv_alpha": te.inv_alpha,
-            "b_hat": te.b_hat,
-            "k_alpha": te.k_alpha,
-            "k_b": te.k_b,
-            "m_used": te.m_used,
-            "a_hat": {"y": ygrid, "value": a_hat(te, ygrid)},
-            "counters": counters,
-        },
-    )
-    _write_manifest(args.out, "tail", cfg, [args.input], [args.out], t0)
-    print(f"wrote {args.out}")
-    return 0
+    _write_json(args.out, {**_fields(te), "x": args.x, "n": sample.n, "grid": grid,
+                           "alpha_hat": 1.0 / te.inv_alpha,
+                           "a_hat": {"y": ygrid, "value": a_hat(te, ygrid)}, "counters": counters})
+    return [args.input], [args.out], f"wrote {args.out}"
 
 
 def _parse_target(text):
@@ -345,9 +304,7 @@ def _read_risks_file(path):
     return ns, risks, errs
 
 
-def cmd_rates(args) -> int:
-    t0 = time.perf_counter()
-    cfg = _build_config(args)
+def cmd_rates(args, cfg):
     if args.threads < 1:
         raise InvalidConfig(f"--threads must be >= 1, got {args.threads}")
     target = _parse_target(args.target)
@@ -367,31 +324,17 @@ def cmd_rates(args) -> int:
             risks.append(risk)
             errs.append(err)
     report = rate_fit(ns, risks, errs)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("n,risk,stderr\n")
-        for n, r, e in zip(report.n_values, report.risks, report.stderrs):
-            fh.write(f"{n},{_g17(r)},{_g17(e)}\n")
+    _write_csv(args.out, "n,risk,stderr", (report.n_values, report.risks, report.stderrs))
     theory = None
     if args.alpha is not None and args.beta is not None:
         ab1 = args.alpha * args.beta + 1.0
         power = 2.0 if target[0] == "point" else target[1]
         theory = -power * args.beta / ab1
     report_path = os.path.splitext(args.out)[0] + ".report.json"
-    _write_json(
-        report_path,
-        {
-            "target": {"kind": target[0], "value": target[1]},
-            "n_values": report.n_values,
-            "risks": report.risks,
-            "stderrs": report.stderrs,
-            "slope": report.slope,
-            "slope_ci": list(report.slope_ci),
-            "theoretical_exponent": theory,
-        },
-    )
-    _write_manifest(args.out, "rates", cfg, inputs, [args.out, report_path], t0)
-    print(f"wrote {args.out} and {report_path} (slope {report.slope:.4f})")
-    return 0
+    _write_json(report_path, {**_fields(report), "target": {"kind": target[0], "value": target[1]},
+                              "theoretical_exponent": theory})
+    message = f"wrote {args.out} and {report_path} (slope {report.slope:.4f})"
+    return inputs, [args.out, report_path], message
 
 
 def _add_config_flags(p, names):
@@ -454,16 +397,20 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
+    """Run one subcommand: build its config, call cmd_<name>(args, cfg) for
+    (inputs, outputs, message), write the manifest and print the message."""
     args = _build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        cfg = _build_config(args)
+        inputs, outputs, message = args.func(args, cfg)
+        _write_manifest(args.out, args.command, cfg, inputs, outputs, t0)
+        print(message)
+        return 0
     except (InvalidConfig, UnknownName) as exc:
         print(f"error[config] {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except (ParseError, NonEquidistantDesign) as exc:
-        print(f"error[input] {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, UnicodeDecodeError) as exc:
+    except (ParseError, NonEquidistantDesign, OSError, UnicodeDecodeError) as exc:
         print(f"error[input] {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except DegenerateWindow as exc:

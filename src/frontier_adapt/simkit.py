@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adapt import EstimatorConfig, adaptive_estimate
+from .adapt import EstimatorConfig, adaptive_estimate, check_seed
 from .errors import (
     DegenerateInput,
     DomainError,
@@ -125,13 +125,6 @@ def alpha_profile(x):
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise DomainError("alpha_profile is defined on [0, 1]")
     return np.sin(2.0 * np.pi * x + np.pi / 2.0) - np.sqrt(1.0 - x**2) + 2.0
-
-
-def check_seed(seed):
-    """Raise InvalidConfig unless seed is an integer >= 0 or a tuple or list of them."""
-    for s in seed if isinstance(seed, (tuple, list)) else (seed,):
-        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 0:
-            raise InvalidConfig(f"seed must be an integer >= 0, got {s!r}")
 
 
 def _rng_for(seed):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frontier_adapt import adapt, local_poly, lp
@@ -48,6 +48,8 @@ def test_build_grid_validation():
         build_grid(100, 1.0, 2.0)
     with pytest.raises(InvalidConfig):
         build_grid(100, 0.4, 1.0)
+    with pytest.raises(InvalidConfig):
+        build_grid(100, 0.4, math.inf)
 
 
 def test_config_validation():
@@ -63,9 +65,26 @@ def test_config_validation():
         dict(q=0.5),
         dict(q=math.inf),
         dict(q=math.nan),
+        # wrong types, non-finite values and integers that no float holds
+        dict(beta_star=True),
+        dict(beta_star=2.0),
+        dict(h0_exponent="0.4"),
+        dict(rho=[2]),
+        dict(rho=math.inf),
+        dict(m_exponent={}),
+        dict(c_beta=None),
+        dict(c_beta=math.inf),
+        dict(j_beta=10**400),
+        dict(q="1"),
+        dict(q=True),
+        dict(seed=-1),
+        dict(seed=1.5),
+        dict(seed="x"),
     ):
         with pytest.raises(InvalidConfig):
             EstimatorConfig(**bad)
+    # numpy scalars and integers for float settings are real numbers
+    EstimatorConfig(beta_star=np.int64(1), rho=np.float64(3.0), c_beta=1, q=2, seed=np.int64(5))
     # the quadrature tolerance is a constant of iu_n, not a setting
     with pytest.raises(TypeError):
         EstimatorConfig(quadrature_tol=1e-8)
@@ -490,12 +509,17 @@ def test_batched_rows_equal_per_point_fits_on_random_samples(
        kind=st.sampled_from(["negexp", "neggamma", "neguniform", "negweibull"]),
        seed=st.integers(0, 2**16), delta=st.sampled_from([5.0, -2.25, 1e3]),
        a=st.sampled_from([3.0, 0.5, 4.0]))
+@example(n=148, f="f2", kind="negexp", seed=8039, delta=1e3, a=3.0)
+@example(n=100, f="absdip", kind="negexp", seed=451, delta=1e3, a=3.0)
 def test_lq_selection_shift_and_scale_invariance(n, f, kind, seed, delta, a):
     # c04's exact invariances through L_q selection: the curve shifts with the
     # sample and the selection does not move; the tail index is also
-    # invariant to rescaling the sample
+    # invariant to rescaling the sample.  Adding delta rounds each response,
+    # so the sample under test is the one that the shifted sample holds
+    # exactly: the drawn one, shifted and shifted back.
     cfg = EstimatorConfig(q=1.0)
-    sample = gen_sample(builtin_f(f), ErrorModel(kind), n, seed)
+    drawn = gen_sample(builtin_f(f), ErrorModel(kind), n, seed)
+    sample = Sample((drawn.ys + delta) - delta)
     base, diag = adaptive_estimate(sample, cfg, grid=sample.xs())
     values, shifted = adaptive_estimate(Sample(sample.ys + delta), cfg, grid=sample.xs())
     expected = base + delta
@@ -506,6 +530,28 @@ def test_lq_selection_shift_and_scale_invariance(n, f, kind, seed, delta, a):
     _, scaled = adaptive_estimate(Sample(a * sample.ys), cfg, grid=sample.xs())
     assert scaled.k_alpha == diag.k_alpha
     assert scaled.alpha_hat == pytest.approx(diag.alpha_hat, rel=1e-12)
+
+
+def test_pointwise_selection_falls_back_to_the_nearest_finite_fit(monkeypatch):
+    # every fit above h_0 fails: no comparison is defined, so k_hat = K, and
+    # the value is the fit at h_0, the nearest finite one below k_hat
+    sample = gen_sample(builtin_f("f2"), ErrorModel("negexp"), 200, seed=0)
+    h0_fits = []
+    fit = adapt.estimate_at
+
+    def fails_above_h0(sample, x, h, degree):
+        if h > build_grid(sample.n, 0.4, 2.0).h0:
+            raise NumericalBreakdown("forced")
+        h0_fits.append(fit(sample, x, h, degree))
+        return h0_fits[-1]
+
+    monkeypatch.setattr(adapt, "estimate_at", fails_above_h0)
+    value, diag = adaptive_estimate(sample, EstimatorConfig(), x=0.5)
+    K = diag.grid.K
+    assert K >= 1 and diag.k_hat.tolist() == [K]
+    assert len(h0_fits) == 1 and math.isfinite(h0_fits[0]) and value == h0_fits[0]
+    assert diag.counters["selected_estimate_missing"] == 1
+    assert diag.counters["lp_failures"] == K
 
 
 def test_h0_exponent_warning_surfaces_in_diagnostics():

@@ -50,6 +50,29 @@ def test_simulate_writes_csv_and_manifest(tmp_path):
     assert "frontier_adapt" in manifest["versions"]
 
 
+def test_every_subcommand_writes_the_same_manifest(tmp_path):
+    (tmp_path / "r.csv").write_text("n,risk\n100,0.1\n200,0.05\n400,0.025\n")
+    runs = [
+        ("simulate", ["--f", "f2", "--em", "negexp", "--n", "60", "--seed", "4"], [], "s.csv"),
+        ("estimate", ["s.csv"], ["s.csv"], "fit.csv"),
+        ("tail", ["s.csv"], ["s.csv"], "tail.json"),
+        ("rates", ["--risks-file", "r.csv"], ["r.csv"], "rates.csv"),
+    ]
+    key_sets = []
+    for command, argv, inputs, out in runs:
+        before = set(os.listdir(tmp_path))
+        argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+        assert main([command, *argv, "--out", str(tmp_path / out)]) == 0
+        manifest_name = out + ".manifest.json"
+        written = set(os.listdir(tmp_path)) - before - {manifest_name}
+        manifest = json.loads((tmp_path / manifest_name).read_text())
+        key_sets.append(set(manifest))
+        assert manifest["command"] == command
+        assert set(manifest["outputs"]) == {str(tmp_path / name) for name in written}
+        assert set(manifest["inputs"]) == {str(tmp_path / name) for name in inputs}
+    assert all(keys == key_sets[0] for keys in key_sets)
+
+
 def test_simulate_reruns_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["simulate", "--f", "f1", "--em", "neguniform", "--n", "40", "--seed", "9"]
@@ -248,6 +271,63 @@ def test_config_file_invalid_json_exits_2(tmp_path):
     rc = main(["estimate", str(data), "--config", str(cfgfile),
                "--out", str(tmp_path / "f.csv")])
     assert rc == 2
+
+
+_BAD_CONFIGS = ['{"h0_exponent": "0.4"}', '{"c_beta": null}', '{"q": "1"}', '{"rho": [2]}',
+                '{"m_exponent": {}}', '{"j_beta": 1%s}' % ("0" * 400), '{"beta_star": true}',
+                '{"rho": Infinity}', '{"c_beta": Infinity}', '{"seed": "x"}', '{"seed": -1}',
+                '{"seed": 1.5}', '{"beta_star": %s}' % ("9" * 5000)]
+
+
+@pytest.mark.parametrize("command", ["estimate", "tail"])
+@pytest.mark.parametrize("config", _BAD_CONFIGS,
+                         ids=lambda c: c if len(c) < 40 else c[:20] + "...}")
+def test_config_value_of_a_wrong_type_exits_2(tmp_path, command, config):
+    # a string, null, bool, list, object, infinity, an integer beyond the
+    # float range or a bad seed: one error[config] line, no traceback
+    cfg, data = tmp_path / "cfg.json", tmp_path / "s.csv"
+    cfg.write_text(config)
+    data.write_text("y\n-1.0\n-2.0\n-1.5\n")
+    code, err = _run_quietly([command, str(data), "--config", str(cfg),
+                              "--out", str(tmp_path / "out.csv")])
+    assert code == 2, err
+    assert err.startswith("error[config] InvalidConfig:") and err.count("\n") == 1, err
+    assert not (tmp_path / "out.csv").exists()
+
+
+_CONFIG_VALUES = st.sampled_from([
+    '"0.4"', '"x"', "null", "true", "false", "[2]", "{}", "-1", "0", "1", "2", "5", "1.5", "0.5",
+    "0.999", "1e-300", "5e-324", "1e300", "1.7976931348623157e308", "Infinity", "-Infinity",
+    "NaN", "1" + "0" * 300, "1" + "0" * 400,
+])
+# beta_star stays <= 5: the degree is clamped to m - 2, and a huge one runs
+# for minutes
+_CONFIG_ENTRIES = st.one_of(
+    st.tuples(st.sampled_from(["h0_exponent", "rho", "m_exponent", "c_beta", "j_beta", "q",
+                               "seed"]), _CONFIG_VALUES),
+    st.tuples(st.just("beta_star"), _CONFIG_VALUES.filter(lambda v: v != "1" + "0" * 300)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(entries=st.lists(_CONFIG_ENTRIES, min_size=1, max_size=3),
+       command=st.sampled_from([["estimate"], ["estimate", "--q", "1"], ["tail"]]))
+def test_config_file_values_exit_cleanly(entries, command):
+    # any config-file value gives a result or one error[config] line
+    config = "{" + ", ".join(f'"{key}": {value}' for key, value in entries) + "}"
+    with tempfile.TemporaryDirectory() as tmp:
+        sample, cfg = os.path.join(tmp, "s.csv"), os.path.join(tmp, "cfg.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(config)
+        assert _run_quietly(["simulate", "--f", "f2", "--em", "negexp", "--n", "60", "--seed", "1",
+                             "--out", sample])[0] == 0
+        code, err = _run_quietly([command[0], sample, *command[1:], "--config", cfg,
+                                  "--out", os.path.join(tmp, "out.csv")])
+    assert code in (0, 2), err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith("error[config] InvalidConfig:") and err.count("\n") == 1, err
 
 
 def test_threads_below_one_exits_2(tmp_path, capsys):
