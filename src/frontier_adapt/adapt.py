@@ -54,7 +54,7 @@ class EstimatorConfig:
 
 # (integer?, range test, rule) of each numeric setting, pointwise q = None aside
 _RULES = {
-    "beta_star": (True, lambda v: v >= 0, "an integer >= 0 that fits a float"),
+    "beta_star": (True, lambda v: 0 <= v <= 10, "an integer in [0, 10]"),
     "h0_exponent": (False, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     "rho": (False, lambda v: v > 1.0, "finite and > 1"),
     "m_exponent": (False, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
@@ -85,6 +85,10 @@ def check_seed(seed):
             raise InvalidConfig(f"seed must be an integer >= 0, got {s!r}")
 
 
+# the largest K that build_grid allows: a rho just above 1 makes K astronomical
+MAX_K = 1000
+
+
 @dataclass(frozen=True)
 class BandwidthGrid:
     """Geometric grid h_k = h0 * rho^k for k = 0..K+1 on a size-n design."""
@@ -97,7 +101,8 @@ class BandwidthGrid:
 
 
 def build_grid(n: int, h0_exponent: float, rho: float) -> BandwidthGrid:
-    """Grid with h0 = n^(h0_exponent - 1) and K = floor(log_rho n^(1 - h0_exponent))."""
+    """Grid with h0 = n^(h0_exponent - 1) and K = floor(log_rho n^(1 - h0_exponent)),
+    K at most MAX_K."""
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidConfig("n must be an integer >= 2")
     _check_setting("h0_exponent", h0_exponent)
@@ -107,6 +112,8 @@ def build_grid(n: int, h0_exponent: float, rho: float) -> BandwidthGrid:
     # flooring one step low on last-ulp noise
     K = int(math.floor((1.0 - h0_exponent) * math.log(n) / math.log(rho) + 1e-9))
     K = max(K, 0)
+    if K > MAX_K:
+        raise InvalidConfig(f"rho={rho!r} gives K = {K} at n = {n}, more than {MAX_K}; raise rho")
     bandwidths = h0 * float(rho) ** np.arange(K + 2)
     return BandwidthGrid(n=int(n), h0=h0, rho=float(rho), K=K, bandwidths=bandwidths)
 
@@ -359,27 +366,33 @@ class Diagnostics:
     warnings: list = field(default_factory=list)
 
 
+def _site_trace(K):
+    """A site's Diagnostics fields before selection: degenerate-tail defaults, zeros elsewhere."""
+    return dict(k_hat=0, alpha_hat=np.nan, b_hat=np.nan, k_alpha=-1, k_b=-1, zeta_raw=np.zeros(K + 1),
+                zeta_truncated=np.zeros(K + 1), zeta_at_k_hat=np.nan, window_sizes=np.zeros(K + 1, int))
+
+
 def _select_site(sample, cfg, grid, x_tail, fit_points, counters):
     """One selection site: tail parameters at x_tail, critical values for
     cfg.q, per-k estimates at fit_points and the Lepski index over them.
 
     Pointwise selection fits every k = 0..K; L_q selection fits only the
-    rows it reads, k <= min(k_hat + 1, K), and row k_hat.  Returns (tail
-    estimate or None, critical values, EnvelopeRows, k_hat).
+    rows it reads, k <= min(k_hat + 1, K), and row k_hat.  Returns
+    (EnvelopeRows, trace): the site's per-site Diagnostics fields.
     """
+    trace = _site_trace(grid.K)
     try:
         te = estimate_tail_at(sample, x_tail, grid, cfg.m_exponent, counters)
     except DegenerateWindow:
-        te = None
         _bump(counters, "tail_degenerate_points")
-    if te is None:  # fully truncated critical values
-        cvs = _critical_values(grid, lambda k: 1.0, cfg.q)
-    elif cfg.q is None:
-        cvs = critical_values_pointwise(grid, te, cfg)
+        cvs = _critical_values(grid, lambda k: 1.0, cfg.q)  # fully truncated
     else:
-        cvs = critical_values_lq(grid, te, cfg.q, cfg)
+        trace.update(alpha_hat=1.0 / te.inv_alpha, b_hat=te.b_hat, k_alpha=te.k_alpha, k_b=te.k_b)
+        cvs = (critical_values_pointwise(grid, te, cfg) if cfg.q is None
+               else critical_values_lq(grid, te, cfg.q, cfg))
 
-    rows = EnvelopeRows(sample, fit_points, grid.bandwidths[: grid.K + 1], cfg.beta_star, counters)
+    bandwidths = grid.bandwidths[: grid.K + 1]
+    rows = EnvelopeRows(sample, fit_points, bandwidths, cfg.beta_star, counters)
     if cfg.q is None:
         # every row, not only k <= k_hat + 1: the benchmark's seed-0 reference
         # counts an lp_failure from a fit above k_hat + 1, so pointwise rows
@@ -388,7 +401,10 @@ def _select_site(sample, cfg, grid, x_tail, fit_points, counters):
     else:
         k_hat = lepski_select(rows, cvs, q=cfg.q)
     rows[k_hat]  # fits row k_hat if the selection did not read it (K = 0)
-    return te, cvs, rows, k_hat
+    trace.update(k_hat=k_hat, zeta_raw=cvs.raw, zeta_truncated=cvs.truncated,
+                 zeta_at_k_hat=cvs.truncated[k_hat],
+                 window_sizes=np.diff([window_bounds(sample.n, x_tail, h) for h in bandwidths])[:, 0])
+    return rows, trace
 
 
 def adaptive_estimate(sample: Sample, cfg: EstimatorConfig, x=None, grid=None):
@@ -418,19 +434,11 @@ def adaptive_estimate(sample: Sample, cfg: EstimatorConfig, x=None, grid=None):
     else:
         sites = [(0.5, sample.xs())]
 
-    S, K = len(sites), bgrid.K
-    values = np.full(pts.size, np.nan)
-    k_hats = np.zeros(S, dtype=int)
-    alphas = np.full(S, np.nan)
-    bhats = np.full(S, np.nan)
-    kas = np.full(S, -1, dtype=int)
-    kbs = np.full(S, -1, dtype=int)
-    zraw = np.zeros((S, K + 1))
-    ztr = np.zeros((S, K + 1))
-    zsel = np.full(S, np.nan)
-    sizes = np.zeros((S, K + 1), dtype=int)
-    for i, (x_tail, fit_points) in enumerate(sites):
-        te, cvs, rows, k_hat = _select_site(sample, cfg, bgrid, x_tail, fit_points, counters)
+    values, traces = [], []
+    for x_tail, fit_points in sites:
+        rows, trace = _select_site(sample, cfg, bgrid, x_tail, fit_points, counters)
+        traces.append(trace)
+        k_hat = trace["k_hat"]
         if cfg.q is None:
             value = rows[k_hat][0]
             if np.isnan(value):
@@ -439,27 +447,16 @@ def adaptive_estimate(sample: Sample, cfg: EstimatorConfig, x=None, grid=None):
                 if below:
                     value = below[-1]
                     _bump(counters, "selected_estimate_missing")
-            values[i] = value
+            values.append(value)
         elif x is None and pts.size == sample.n and np.allclose(pts, fit_points, rtol=0.0, atol=1e-12):
-            values = rows[k_hat].copy()
+            values = rows[k_hat]
         else:
             h = bgrid.bandwidths[k_hat]
             values = EnvelopeRows(sample, pts, [h], cfg.beta_star, counters)[0]
-        k_hats[i] = k_hat
-        if te is not None:
-            alphas[i] = 1.0 / te.inv_alpha
-            bhats[i] = te.b_hat
-            kas[i] = te.k_alpha
-            kbs[i] = te.k_b
-        zraw[i] = cvs.raw
-        ztr[i] = cvs.truncated
-        zsel[i] = cvs.truncated[k_hat]
-        for k, h in enumerate(bgrid.bandwidths[: K + 1]):
-            start, stop = window_bounds(sample.n, x_tail, h)
-            sizes[i, k] = stop - start
 
-    trace = dict(k_hat=k_hats, alpha_hat=alphas, b_hat=bhats, k_alpha=kas, k_b=kbs,
-                 zeta_raw=zraw, zeta_truncated=ztr, zeta_at_k_hat=zsel, window_sizes=sizes)
+    # stacked in the blank trace's dtypes and per-site shapes, which an empty grid keeps
+    trace = {name: np.array([t[name] for t in traces], np.result_type(v)).reshape(-1, *np.shape(v))
+             for name, v in _site_trace(bgrid.K).items()}
     if cfg.q is not None:
         # one global selection: scalars and per-k vectors, not per-point arrays
         trace = {name: v[0].item() if v.ndim == 1 else v[0] for name, v in trace.items()}
@@ -471,4 +468,4 @@ def adaptive_estimate(sample: Sample, cfg: EstimatorConfig, x=None, grid=None):
         warnings=warn,
         **trace,
     )
-    return (float(values[0]) if x is not None else values), diag
+    return (float(values[0]) if x is not None else np.array(values, dtype=float)), diag

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -209,6 +208,9 @@ def mc_risk(f, em: ErrorModel, cfg: EstimatorConfig, n: int, reps: int, target, 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(int(threads), reps, cpus or 1)
     if workers > 1:
+        # imported here: the pool's imports cost about 20 ms that serial runs skip
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_replicate_loss, tasks, chunksize=max(1, reps // (4 * workers))))
     else:

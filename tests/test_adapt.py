@@ -52,10 +52,25 @@ def test_build_grid_validation():
         build_grid(100, 0.4, math.inf)
 
 
+def test_build_grid_bounds_the_bandwidth_count():
+    # a rho just above 1 makes K astronomical; it is refused before the
+    # grid is allocated (K = 2.2e15 would ask numpy for 15.7 PiB)
+    for rho in (1.000000000000001, 1.001):
+        with pytest.raises(InvalidConfig, match="K = "):
+            build_grid(60, 0.4, rho)
+    assert build_grid(60, 0.4, 1.01).K == 246
+    rho = math.exp(0.6 * math.log(60) / (adapt.MAX_K + 0.5))
+    assert build_grid(60, 0.4, rho).K == adapt.MAX_K
+    # the default rho stays far below the bound at any practical n
+    assert build_grid(100_000, 0.4, 2.0).K <= 10
+
+
 def test_config_validation():
     assert EstimatorConfig().j_beta == DEFAULT_J_BETA == 1
     for bad in (
         dict(beta_star=-1),
+        dict(beta_star=11),
+        dict(beta_star=10**30),
         dict(h0_exponent=1.2),
         dict(rho=0.5),
         dict(m_exponent=0.0),
@@ -85,6 +100,7 @@ def test_config_validation():
             EstimatorConfig(**bad)
     # numpy scalars and integers for float settings are real numbers
     EstimatorConfig(beta_star=np.int64(1), rho=np.float64(3.0), c_beta=1, q=2, seed=np.int64(5))
+    assert EstimatorConfig(beta_star=10).beta_star == 10
     # the quadrature tolerance is a constant of iu_n, not a setting
     with pytest.raises(TypeError):
         EstimatorConfig(quadrature_tol=1e-8)
@@ -583,6 +599,21 @@ def test_shift_invariance_of_adaptive_curve():
     np.testing.assert_allclose(vals2, vals + 5.0, rtol=0, atol=1e-9)
     np.testing.assert_array_equal(diag2.k_hat, diag.k_hat)
     np.testing.assert_allclose(diag2.alpha_hat, diag.alpha_hat, rtol=1e-9)
+
+
+def test_empty_pointwise_grid_keeps_every_trace_shape_and_dtype():
+    sample = gen_sample(builtin_f("f2"), ErrorModel("negexp"), 200, seed=3)
+    vals, diag = adaptive_estimate(sample, EstimatorConfig(), grid=[])
+    K = diag.grid.K
+    assert vals.shape == (0,) and vals.dtype == np.float64
+    for name in ("k_hat", "k_alpha", "k_b"):
+        assert getattr(diag, name).shape == (0,) and getattr(diag, name).dtype == np.int64
+    for name in ("alpha_hat", "b_hat", "zeta_at_k_hat"):
+        assert getattr(diag, name).shape == (0,) and getattr(diag, name).dtype == np.float64
+    for name in ("zeta_raw", "zeta_truncated"):
+        assert getattr(diag, name).shape == (0, K + 1) and getattr(diag, name).dtype == np.float64
+    assert diag.window_sizes.shape == (0, K + 1) and diag.window_sizes.dtype == np.int64
+    assert diag.points.shape == (0,) and diag.counters == {}
 
 
 def test_diagnostics_shapes_pointwise():

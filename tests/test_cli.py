@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -295,18 +296,37 @@ def test_config_value_of_a_wrong_type_exits_2(tmp_path, command, config):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["--rho", "1.000000000000001"], None),
+    (["--rho", "1.001"], None),
+    (["--q", "1", "--rho", "1.001"], None),
+    ([], '{"beta_star": %d}' % 10**30),
+    ([], '{"beta_star": 11}'),
+])
+def test_settings_beyond_their_bounds_exit_2_at_once(tmp_path, argv, config):
+    # a rho near 1 (K in the quadrillions, or 2,457 at rho = 1.001) and a
+    # huge beta_star used to run out of memory or for minutes
+    data = tmp_path / "s.csv"
+    assert _run_quietly(["simulate", "--f", "f2", "--em", "negexp", "--n", "60", "--seed", "1",
+                         "--out", str(data)])[0] == 0
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(config)
+        argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+    start = time.perf_counter()
+    code, err = _run_quietly(["estimate", str(data), *argv, "--out", str(tmp_path / "f.csv")])
+    assert time.perf_counter() - start < 5.0
+    assert code == 2, err
+    assert err.startswith("error[config] InvalidConfig:") and err.count("\n") == 1, err
+    assert not (tmp_path / "f.csv").exists()
+
+
 _CONFIG_VALUES = st.sampled_from([
     '"0.4"', '"x"', "null", "true", "false", "[2]", "{}", "-1", "0", "1", "2", "5", "1.5", "0.5",
     "0.999", "1e-300", "5e-324", "1e300", "1.7976931348623157e308", "Infinity", "-Infinity",
     "NaN", "1" + "0" * 300, "1" + "0" * 400,
 ])
-# beta_star stays <= 5: the degree is clamped to m - 2, and a huge one runs
-# for minutes
-_CONFIG_ENTRIES = st.one_of(
-    st.tuples(st.sampled_from(["h0_exponent", "rho", "m_exponent", "c_beta", "j_beta", "q",
-                               "seed"]), _CONFIG_VALUES),
-    st.tuples(st.just("beta_star"), _CONFIG_VALUES.filter(lambda v: v != "1" + "0" * 300)),
-)
+_CONFIG_ENTRIES = st.tuples(st.sampled_from(["beta_star", "h0_exponent", "rho", "m_exponent",
+                                            "c_beta", "j_beta", "q", "seed"]), _CONFIG_VALUES)
 
 
 @settings(max_examples=40, deadline=None)
@@ -694,6 +714,15 @@ def test_model_flags_and_seeds_exit_cleanly(rates, em, rate, shape, profile, see
 
 def test_package_import_leaves_scipy_integrate_unloaded():
     code = "import sys, frontier_adapt; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=_source_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_package_import_leaves_multiprocessing_unloaded():
+    # only mc_risk with more than one worker starts a process pool
+    code = "import sys, frontier_adapt; print('multiprocessing' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=60, env=_source_env())
     assert proc.returncode == 0, proc.stderr

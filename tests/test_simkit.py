@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from frontier_adapt.adapt import EstimatorConfig
+from frontier_adapt import lp
+from frontier_adapt.adapt import EstimatorConfig, build_grid
 from frontier_adapt.errors import (
     DegenerateInput,
     DomainError,
@@ -180,7 +181,7 @@ def test_mc_risk_pool_never_exceeds_reps(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
-    monkeypatch.setattr("frontier_adapt.simkit.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     # more CPUs than threads, so the pool's size is capped by the tasks alone
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
     args = (builtin_f("f2"), ErrorModel("negexp"), EstimatorConfig(), 40, 3, ("point", 0.5))
@@ -212,7 +213,7 @@ def test_mc_risk_pool_never_exceeds_the_cpus(monkeypatch):
         def map(self, fn, tasks, chunksize=1):
             raise Stop
 
-    monkeypatch.setattr("frontier_adapt.simkit.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     args = (builtin_f("f2"), ErrorModel("negexp"), EstimatorConfig(), 40)
     with pytest.raises(Stop):
@@ -223,6 +224,21 @@ def test_mc_risk_pool_never_exceeds_the_cpus(monkeypatch):
     serial = mc_risk(*args, 3, ("point", 0.5), master_seed=1)
     assert mc_risk(*args, 3, ("point", 0.5), master_seed=1, threads=4) == serial
     assert sizes == [3]
+
+
+def test_replicates_share_phase_one(monkeypatch):
+    # replicates at one point fit the same design windows, so phase 1 runs
+    # once per bandwidth, not once per replicate and bandwidth: this is the
+    # traffic that keeps the phase-1 memo
+    calls = []
+    phase1 = lp._phase1
+    monkeypatch.setattr(lp, "_phase1", lambda A, c: calls.append(A.shape) or phase1(A, c))
+    lp._phase1_memo.clear()
+    cfg = EstimatorConfig()
+    mc_risk(builtin_f("absdip"), ErrorModel("negexp"), cfg, 400, 10, ("point", 0.5), 0)
+    K = build_grid(400, cfg.h0_exponent, cfg.rho).K
+    assert K == 5
+    assert len(calls) == K + 1 == len(set(calls))
 
 
 @pytest.mark.parametrize("seed", [-1, (0, -1), 1.5, "7", True, None])
