@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DegenerateWindow, DomainError, InvalidConfig, NumericalBreakdown
 from .local_poly import Sample, check_points, estimate_at, estimate_windows, window_bounds
+from .lp import MIN_LOCKSTEP_BATCH, batch_size
 from .tail import _bump, a_hat, estimate_tail_at, first_drift
 
 # Calibrated defaults for the critical-value constants.  The theory only
@@ -274,10 +275,11 @@ class EnvelopeRows:
 
     A row's interior, its points whose windows hold the row's most common
     size m at the full degree, is fitted in lockstep by estimate_windows
-    when it has two points or more; every other point, and each interior
-    point that the batch leaves unsolved, is fitted by estimate_at.  The
-    values are the same bit for bit either way.  fallbacks counts the
-    interior points left to estimate_at.
+    when one lockstep batch holds at least lp.MIN_LOCKSTEP_BATCH of them;
+    every other point, and each interior point that the batch leaves
+    unsolved, is fitted by estimate_at.  The values are the same bit for
+    bit either way.  fallbacks counts the interior points left to
+    estimate_at.
     """
 
     def __init__(self, sample, points, bandwidths, beta_star, counters=None):
@@ -304,7 +306,7 @@ class EnvelopeRows:
         return self._rows[k]
 
     def _fit_row(self, h):
-        if len(self._points) < 2:  # no interior to batch, as at a pointwise site
+        if len(self._points) < MIN_LOCKSTEP_BATCH:  # too few for a batch that pays
             return np.array([self._fit(xp, h) for xp in self._points])
         points = np.asarray(self._points, dtype=float)
         row = np.full(points.size, np.nan)
@@ -313,7 +315,8 @@ class EnvelopeRows:
         sizes = bounds[:, 1] - bounds[:, 0]
         m = int(np.bincount(sizes).argmax())
         interior = np.flatnonzero(sizes == m)
-        if interior.size >= 2 and m >= self._beta_star + 2:
+        if (m >= self._beta_star + 2
+                and min(interior.size, batch_size(m, self._beta_star + 1)) >= MIN_LOCKSTEP_BATCH):
             values, _, solved = estimate_windows(
                 self._sample, points[interior], bounds[interior, 0], m, h, self._beta_star)
             row[interior] = values
@@ -372,13 +375,11 @@ def _site_trace(K):
                 zeta_truncated=np.zeros(K + 1), zeta_at_k_hat=np.nan, window_sizes=np.zeros(K + 1, int))
 
 
-def _select_site(sample, cfg, grid, x_tail, fit_points, counters):
+def _select_site(sample, cfg, grid, x_tail, estimates, counters):
     """One selection site: tail parameters at x_tail, critical values for
-    cfg.q, per-k estimates at fit_points and the Lepski index over them.
-
-    Pointwise selection fits every k = 0..K; L_q selection fits only the
-    rows it reads, k <= min(k_hat + 1, K), and row k_hat.  Returns
-    (EnvelopeRows, trace): the site's per-site Diagnostics fields.
+    cfg.q and the Lepski index over estimates, one entry per k = 0..K (a
+    pointwise site's column, or the L_q rows, which it reads only up to
+    min(k_hat + 1, K)).  Returns the site's per-site Diagnostics fields.
     """
     trace = _site_trace(grid.K)
     try:
@@ -391,20 +392,12 @@ def _select_site(sample, cfg, grid, x_tail, fit_points, counters):
         cvs = (critical_values_pointwise(grid, te, cfg) if cfg.q is None
                else critical_values_lq(grid, te, cfg.q, cfg))
 
+    k_hat = lepski_select(estimates, cvs, q=cfg.q)
     bandwidths = grid.bandwidths[: grid.K + 1]
-    rows = EnvelopeRows(sample, fit_points, bandwidths, cfg.beta_star, counters)
-    if cfg.q is None:
-        # every row, not only k <= k_hat + 1: the benchmark's seed-0 reference
-        # counts an lp_failure from a fit above k_hat + 1, so pointwise rows
-        # stay eager until that reference is regenerated
-        k_hat = lepski_select([row[0] for row in rows], cvs)
-    else:
-        k_hat = lepski_select(rows, cvs, q=cfg.q)
-    rows[k_hat]  # fits row k_hat if the selection did not read it (K = 0)
     trace.update(k_hat=k_hat, zeta_raw=cvs.raw, zeta_truncated=cvs.truncated,
                  zeta_at_k_hat=cvs.truncated[k_hat],
                  window_sizes=np.diff([window_bounds(sample.n, x_tail, h) for h in bandwidths])[:, 0])
-    return rows, trace
+    return trace
 
 
 def adaptive_estimate(sample: Sample, cfg: EstimatorConfig, x=None, grid=None):
@@ -428,31 +421,31 @@ def adaptive_estimate(sample: Sample, cfg: EstimatorConfig, x=None, grid=None):
             "h0_exponent >= 0.5: smallest windows may be too thin for stable tail estimation"
         )
     pts = check_points(grid if x is None else [x])
-    # (tail point, fit points) of each selection site
+    bandwidths = bgrid.bandwidths[: bgrid.K + 1]
     if cfg.q is None:
-        sites = [(xp, [xp]) for xp in pts]
-    else:
-        sites = [(0.5, sample.xs())]
-
-    values, traces = [], []
-    for x_tail, fit_points in sites:
-        rows, trace = _select_site(sample, cfg, bgrid, x_tail, fit_points, counters)
-        traces.append(trace)
-        k_hat = trace["k_hat"]
-        if cfg.q is None:
-            value = rows[k_hat][0]
-            if np.isnan(value):
+        # every row, not only k <= k_hat + 1: the benchmark's seed-0 reference
+        # counts an lp_failure from a fit above k_hat + 1, so pointwise rows
+        # stay eager until that reference is regenerated
+        rows = np.array(list(EnvelopeRows(sample, pts, bandwidths, cfg.beta_star, counters)))
+        values, traces = [], []
+        for xp, column in zip(pts, rows.T):
+            traces.append(_select_site(sample, cfg, bgrid, xp, column, counters))
+            k_hat = traces[-1]["k_hat"]
+            if np.isnan(column[k_hat]):
                 # nearest fit that succeeded at a smaller bandwidth, if any
-                below = [rows[k][0] for k in range(k_hat) if np.isfinite(rows[k][0])]
-                if below:
-                    value = below[-1]
+                below = np.flatnonzero(np.isfinite(column[:k_hat]))
+                if below.size:
+                    k_hat = below[-1]
                     _bump(counters, "selected_estimate_missing")
-            values.append(value)
-        elif x is None and pts.size == sample.n and np.allclose(pts, fit_points, rtol=0.0, atol=1e-12):
-            values = rows[k_hat]
-        else:
-            h = bgrid.bandwidths[k_hat]
-            values = EnvelopeRows(sample, pts, [h], cfg.beta_star, counters)[0]
+            values.append(column[k_hat])
+    else:
+        xs = sample.xs()
+        rows = EnvelopeRows(sample, xs, bandwidths, cfg.beta_star, counters)
+        traces = [_select_site(sample, cfg, bgrid, 0.5, rows, counters)]
+        k_hat = traces[0]["k_hat"]
+        values = rows[k_hat]  # fits row k_hat, and counts it, when the selection read none (K = 0)
+        if not (x is None and pts.size == sample.n and np.allclose(pts, xs, rtol=0.0, atol=1e-12)):
+            values = EnvelopeRows(sample, pts, [bandwidths[k_hat]], cfg.beta_star, counters)[0]
 
     # stacked in the blank trace's dtypes and per-site shapes, which an empty grid keeps
     trace = {name: np.array([t[name] for t in traces], np.result_type(v)).reshape(-1, *np.shape(v))

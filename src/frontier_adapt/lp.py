@@ -62,10 +62,11 @@ ARTIFICIAL_TOL = 1e-7    # an artificial sum above this * max(1, max|c|): dual i
 PHASE2_STOP_TOL = 1e-9   # phase 2 stops at reduced costs >= -this * max(1, max|r|)
 RATIO_BAND_TOL = 1e-9    # ratios within this of the least, relative, tie for leaving
 DUALITY_GAP_TOL = 1e-7   # relative, on the recovered solution's duality gap
-_MAX_PIVOT_FACTOR = 200  # safety cap: pivots <= factor * (rows + cols)
+_MAX_PIVOT_FACTOR = 10   # safety cap: pivots <= factor * (rows + cols), >= 40 (README)
 _STALL_LIMIT = 30        # consecutive degenerate pivots before Bland's rule
 PHASE1_MEMO_BYTES = 1 << 20  # cap on the phase-1 memo's keys and tableaux
 BATCH_TABLEAU_BYTES = 3 << 17  # cap on the tableaux of one lockstep batch (384 KiB)
+MIN_LOCKSTEP_BATCH = 16  # fewer problems per batch solve faster one at a time (README)
 PIVOT_BLOCK_BYTES = 1 << 19  # cap on the column blocks that _pivot updates in cache
 _CERTIFY_SHORTCUT_SIZE = 1 << 11  # entries of A from which _certify tries its shortcut
 

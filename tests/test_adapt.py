@@ -353,6 +353,69 @@ def test_pointwise_selection_still_fits_every_row(monkeypatch):
     assert len(hs) == 2 * (K + 1)
 
 
+_SITE_FIELDS = ("k_hat", "alpha_hat", "b_hat", "k_alpha", "k_b", "zeta_raw", "zeta_truncated",
+                "zeta_at_k_hat", "window_sizes")
+
+
+@pytest.mark.parametrize("n, kind, beta_star, points", [
+    (30, "zero", 0, [0.0, 0.5, 1.0]),
+    (30, "negexp", 8, np.linspace(0.0, 1.0, 5)),
+    (60, "neguniform", 2, np.linspace(0.0, 1.0, 9)),
+    (90, "neggamma", 5, [1.0, 0.0, 0.31, 0.31]),
+    (150, "negexp", 0, np.linspace(0.0, 1.0, 17)),
+    (200, "neggamma", 8, np.linspace(0.0, 1.0, 7)),
+    (250, "zero", 2, [0.0, 0.2, 0.99, 1.0]),
+    (300, "neguniform", 5, np.linspace(0.0, 1.0, 20)),
+    (400, "neggamma", 2, np.linspace(0.0, 1.0, 11)),
+    (400, "negexp", 2, np.linspace(0.0, 1.0, 81)),
+])
+def test_grid_equals_each_point_alone(monkeypatch, n, kind, beta_star, points):
+    # one row object over the grid: every value, per-site trace and counter
+    # as when each point runs alone, whether its rows were batched or not
+    batched = []
+    batch = adapt.estimate_windows
+
+    def recording(sample, xs, *args):
+        batched.append(len(xs))
+        return batch(sample, xs, *args)
+
+    monkeypatch.setattr(adapt, "estimate_windows", recording)
+    sample = gen_sample(builtin_f("f2"), ErrorModel(kind), n, (3, n))
+    cfg = EstimatorConfig(beta_star=beta_star)
+    values, diag = adaptive_estimate(sample, cfg, grid=points)
+    assert batched or len(points) < 81  # the dense grid reaches the batch
+    total = {}
+    for i, xp in enumerate(points):
+        value, alone = adaptive_estimate(sample, cfg, x=xp)
+        assert np.float64(value).tobytes() == values[i].tobytes(), xp
+        for name in _SITE_FIELDS:
+            assert np.asarray(getattr(diag, name)[i]).tobytes() == getattr(alone, name)[0].tobytes()
+        for key, count in alone.counters.items():
+            total[key] = total.get(key, 0) + count
+    assert diag.counters == total
+
+
+def test_every_lockstep_batch_pays(monkeypatch):
+    # a row's interior goes to estimate_windows only when one lockstep batch
+    # holds at least MIN_LOCKSTEP_BATCH problems: the whole design in L_q
+    # mode, and pointwise_sparse's 19 points of a sample of 100,000
+    calls = []
+    batch = adapt.estimate_windows
+
+    def recording(sample, xs, starts, meff, h, degree):
+        calls.append(min(len(xs), lp.batch_size(meff, degree + 1)))
+        return batch(sample, xs, starts, meff, h, degree)
+
+    monkeypatch.setattr(adapt, "estimate_windows", recording)
+    dense = gen_sample(builtin_f("f2"), ErrorModel("negexp"), 400, (0, 0))
+    adaptive_estimate(dense, EstimatorConfig(q=1.0), grid=dense.xs())
+    lq_calls = len(calls)
+    wide = gen_sample(builtin_f("f2"), ErrorModel("neggamma", spatial=alpha_profile), 100_000, (0, 0))
+    adaptive_estimate(wide, EstimatorConfig(), grid=np.linspace(0.05, 0.95, 19))
+    assert lq_calls > 0 and len(calls) > lq_calls
+    assert min(calls) >= lp.MIN_LOCKSTEP_BATCH
+
+
 def test_envelope_rows_failure_rule():
     # windows of 1, 3 and 2 points: NaN, a degree-1 fit and a degree-0 fit
     counters = {}
@@ -378,7 +441,8 @@ def test_envelope_rows_failure_rule():
 def test_envelope_rows_are_fitted_lazily_in_order(monkeypatch):
     hs = _count_fits(monkeypatch)
     sample = gen_sample(builtin_f("f2"), ErrorModel("negexp"), 100, seed=0)
-    points = sample.xs()[::9]
+    # 25 points: row 0's interior fills a lockstep batch, row 2's does not
+    points = sample.xs()[::4]
     bandwidths = np.array([0.1, 0.2, 0.4])
     counters = {}
     rows = EnvelopeRows(sample, points, bandwidths, 2, counters)

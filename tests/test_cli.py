@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frontier_adapt import local_poly
 from frontier_adapt.cli import _build_parser, main
 from frontier_adapt.simkit import ERROR_KINDS
 
@@ -495,6 +496,35 @@ def test_overflowing_tail_window_exits_0_without_warnings(tmp_path, capsys, ys):
                      "--out", str(tmp_path / "fit.csv")])
         assert code == 0
         assert capsys.readouterr().err == ""
+
+
+def test_overflowing_window_in_a_lockstep_batch_exits_0_without_warnings(
+        tmp_path, capsys, monkeypatch):
+    # 64 responses with 1e308 next to -1e308: rows of the design hold 22 to
+    # 54 interior windows, enough for a lockstep batch, and the windows over
+    # the pair overflow when shifted; each is a counted NaN in both modes
+    overflowing = []
+    build = local_poly._window_lps
+
+    def recording(sample, xs, starts, *args):
+        fits, *rest = build(sample, xs, starts, *args)
+        if isinstance(starts, np.ndarray):
+            overflowing.append(int(np.count_nonzero(~fits)))
+        return (fits, *rest)
+
+    monkeypatch.setattr(local_poly, "_window_lps", recording)
+    ys = -(np.arange(64) % 5).astype(float)
+    ys[30], ys[31] = 1e308, -1e308
+    (tmp_path / "s.csv").write_text("".join(f"{y!r}\n" for y in ys.tolist()))
+    for extra in ([], ["--q", "1"]):
+        overflowing.clear()
+        code = main(["estimate", str(tmp_path / "s.csv"), *extra, "--out", str(tmp_path / "fit.csv")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert sum(overflowing) > 0
+        _, rows = _read_csv(tmp_path / "fit.csv")
+        counters = json.loads((tmp_path / "fit.diagnostics.json").read_text())["counters"]
+        assert counters["lp_failures"] > 0 and any(row[1] == "nan" for row in rows)
 
 
 @st.composite

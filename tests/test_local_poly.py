@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -256,6 +257,18 @@ def test_envelope_dominates_window_property(seed):
         return
     fit = fit_local(Sample(ys), x0, h, degree)
     assert np.all(fit((idx + 1) / n) >= ys[idx] - 1e-8)
+
+
+def test_a_runaway_fit_stops_at_the_pivot_cap_in_seconds():
+    # degree 20 over the whole design of n = 2000 (the config allows degree
+    # 10 at most): phase 2 at x = 0.35 does not finish.  The cap of
+    # 10 (rows + cols) stops it after about 20,000 pivots, 2.1 s on a 2-core
+    # x86-64; a cap of 200 (rows + cols) let it run 408,000 pivots, 45 s
+    sample = gen_sample(builtin_f("f2"), ErrorModel("negexp"), 2000, (0, 0))
+    start = time.perf_counter()
+    with pytest.raises(NumericalBreakdown, match="pivot limit"):
+        fit_local(sample, 0.35, 0.67, 20)
+    assert time.perf_counter() - start < 10.0
 
 
 def test_fits_near_the_largest_float_are_finite_or_fail(monkeypatch):
