@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateWindow, DomainError, InvalidConfig, NumericalBreakdown
 from .local_poly import Sample, check_points, estimate_at, estimate_windows, window_bounds
-from .lp import MIN_LOCKSTEP_BATCH, batch_size
+from .lp import MIN_LOCKSTEP_BATCH, lockstep_pays
 from .tail import _bump, a_hat, estimate_tail_at, first_drift
 
 # Calibrated defaults for the critical-value constants.  The theory only
@@ -86,6 +86,12 @@ def check_seed(seed):
             raise InvalidConfig(f"seed must be an integer >= 0, got {s!r}")
 
 
+def check_n(n):
+    """Raise InvalidConfig unless n, a design size, is an integer >= 2."""
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise InvalidConfig("n must be an integer >= 2")
+
+
 # the largest K that build_grid allows: a rho just above 1 makes K astronomical
 MAX_K = 1000
 
@@ -104,8 +110,7 @@ class BandwidthGrid:
 def build_grid(n: int, h0_exponent: float, rho: float) -> BandwidthGrid:
     """Grid with h0 = n^(h0_exponent - 1) and K = floor(log_rho n^(1 - h0_exponent)),
     K at most MAX_K."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidConfig("n must be an integer >= 2")
+    check_n(n)
     _check_setting("h0_exponent", h0_exponent)
     _check_setting("rho", rho)
     h0 = float(n) ** (h0_exponent - 1.0)
@@ -265,25 +270,28 @@ def lepski_select(estimates, cvs: CriticalValues, q: float | None = None) -> int
 
 
 class EnvelopeRows:
-    """Envelope estimates at points, one row per bandwidth, fitted lazily.
+    """Envelope estimates at sites, one row per bandwidth, fitted lazily.
 
+    Site i is points[i] of the Sample samples[i], or of samples itself when
+    it is one Sample, the sample of every site; all samples share one n.
     Reading row k fits every missing row below it first, so the fits, and
-    the counters they bump, run in the order of a full sweep.  No point
-    raises: a window of m < 2 points gives NaN (window_too_small), the degree
-    is lowered to min(beta_star, m - 2) (degree_lowered), and an LP failure
-    gives NaN (lp_failures).
+    the counters they bump, run in the order of a full sweep.  No site
+    raises: a window of m < 2 points gives NaN (window_too_small), the
+    degree is lowered to min(beta_star, m - 2) (degree_lowered), and an LP
+    failure gives NaN (lp_failures).
 
-    A row's interior, its points whose windows hold the row's most common
+    A row's interior, its sites whose windows hold the row's most common
     size m at the full degree, is fitted in lockstep by estimate_windows
-    when one lockstep batch holds at least lp.MIN_LOCKSTEP_BATCH of them;
-    every other point, and each interior point that the batch leaves
-    unsolved, is fitted by estimate_at.  The values are the same bit for
-    bit either way.  fallbacks counts the interior points left to
-    estimate_at.
+    when lp.lockstep_pays: one lockstep batch holds at least
+    lp.MIN_LOCKSTEP_BATCH of them, and from degree 7 on, m exceeds
+    3 (degree + 1).  Every other site, and each interior site that the
+    batch leaves unsolved, is fitted by estimate_at.  The values are the
+    same bit for bit either way.  fallbacks counts the interior sites left
+    to estimate_at.
     """
 
-    def __init__(self, sample, points, bandwidths, beta_star, counters=None):
-        self._sample = sample
+    def __init__(self, samples, points, bandwidths, beta_star, counters=None):
+        self._samples = samples
         self._points = points
         self._bandwidths = bandwidths
         self._beta_star = beta_star
@@ -305,31 +313,37 @@ class EnvelopeRows:
             self._rows.append(self._fit_row(self._bandwidths[len(self._rows)]))
         return self._rows[k]
 
+    def _sample(self, i):
+        return self._samples if isinstance(self._samples, Sample) else self._samples[i]
+
     def _fit_row(self, h):
         if len(self._points) < MIN_LOCKSTEP_BATCH:  # too few for a batch that pays
-            return np.array([self._fit(xp, h) for xp in self._points])
+            return np.array([self._fit(i, h) for i in range(len(self._points))])
         points = np.asarray(self._points, dtype=float)
         row = np.full(points.size, np.nan)
         fitted = np.zeros(points.size, dtype=bool)
-        bounds = np.array([window_bounds(self._sample.n, xp, h) for xp in points], dtype=np.intp)
+        n = self._sample(0).n
+        bounds = np.array([window_bounds(n, xp, h) for xp in points], dtype=np.intp)
         sizes = bounds[:, 1] - bounds[:, 0]
         m = int(np.bincount(sizes).argmax())
         interior = np.flatnonzero(sizes == m)
-        if (m >= self._beta_star + 2
-                and min(interior.size, batch_size(m, self._beta_star + 1)) >= MIN_LOCKSTEP_BATCH):
+        if m >= self._beta_star + 2 and lockstep_pays(interior.size, m, self._beta_star + 1):
+            samples = (self._samples if isinstance(self._samples, Sample)
+                       else [self._samples[i] for i in interior])
             values, _, solved = estimate_windows(
-                self._sample, points[interior], bounds[interior, 0], m, h, self._beta_star)
+                samples, points[interior], bounds[interior, 0], m, h, self._beta_star)
             row[interior] = values
             fitted[interior] = solved
             self._fallbacks += int(interior.size - solved.sum())
-        # the other points in order, so the counters bump as in a sweep of
-        # per-point fits: a solved interior point bumps none
+        # the other sites in order, so the counters bump as in a sweep of
+        # per-site fits: a solved interior site bumps none
         for i in np.flatnonzero(~fitted):
-            row[i] = self._fit(self._points[i], h)
+            row[i] = self._fit(i, h)
         return row
 
-    def _fit(self, xp, h):
-        start, stop = window_bounds(self._sample.n, xp, h)
+    def _fit(self, i, h):
+        sample, xp = self._sample(i), self._points[i]
+        start, stop = window_bounds(sample.n, xp, h)
         m = stop - start
         if m < 2:
             _bump(self._counters, "window_too_small")
@@ -338,7 +352,7 @@ class EnvelopeRows:
         if degree < self._beta_star:
             _bump(self._counters, "degree_lowered")
         try:
-            return estimate_at(self._sample, xp, h, degree)
+            return estimate_at(sample, xp, h, degree)
         except NumericalBreakdown:
             _bump(self._counters, "lp_failures")
             return np.nan
@@ -348,9 +362,10 @@ class EnvelopeRows:
 class Diagnostics:
     """Selection trace for one adaptive_estimate call.
 
-    Pointwise mode carries per-point arrays (k_alpha = -1 and alpha_hat = NaN
-    mark points whose tail estimation was degenerate); L_q mode carries the
-    single global selection.
+    Pointwise mode carries per-site arrays, one entry per point of each
+    sample (k_alpha = -1 and alpha_hat = NaN mark sites whose tail
+    estimation was degenerate); L_q mode carries the single global
+    selection.
     """
 
     mode: str
@@ -400,7 +415,7 @@ def _select_site(sample, cfg, grid, x_tail, estimates, counters):
     return trace
 
 
-def adaptive_estimate(sample: Sample, cfg: EstimatorConfig, x=None, grid=None):
+def adaptive_estimate(sample, cfg: EstimatorConfig, x=None, grid=None):
     """Fully data-driven envelope estimate.
 
     Exactly one of x (single point) or grid (array of points) must be given.
@@ -409,11 +424,25 @@ def adaptive_estimate(sample: Sample, cfg: EstimatorConfig, x=None, grid=None):
     empirical L_q distances between per-bandwidth curves over the design
     points, with tail parameters estimated once at x = 1/2.
 
-    Returns (values, Diagnostics); failed points are NaN, never fatal.
+    In pointwise mode sample may also be a sequence of R Samples of one n,
+    such as Monte Carlo replicates: each (sample, point) pair is a site,
+    sample-major, so site r * P + p is sample r at point p of P, and every
+    value and per-site Diagnostics field is the one that sample alone gives.
+    Counters are summed over the sites.
+
+    Returns (values, Diagnostics); values is a float for one Sample at x,
+    else one per site.  Failed points are NaN, never fatal.
     """
     if (x is None) == (grid is None):
         raise InvalidConfig("pass exactly one of x= or grid=")
-    bgrid = build_grid(sample.n, cfg.h0_exponent, cfg.rho)
+    stack = not isinstance(sample, Sample)
+    samples = list(sample) if stack else [sample]
+    if stack:
+        if cfg.q is not None:
+            raise InvalidConfig("L_q selection takes one Sample, not a sequence")
+        if not (samples and all(isinstance(s, Sample) and s.n == samples[0].n for s in samples)):
+            raise InvalidConfig("a sequence of samples needs one or more Samples of one n")
+    bgrid = build_grid(samples[0].n, cfg.h0_exponent, cfg.rho)
     counters: dict = {}
     warn: list = []
     if cfg.h0_exponent >= 0.5:
@@ -423,13 +452,15 @@ def adaptive_estimate(sample: Sample, cfg: EstimatorConfig, x=None, grid=None):
     pts = check_points(grid if x is None else [x])
     bandwidths = bgrid.bandwidths[: bgrid.K + 1]
     if cfg.q is None:
+        sites = np.tile(pts, len(samples))
+        per_site = [s for s in samples for _ in pts] if stack else sample
         # every row, not only k <= k_hat + 1: the benchmark's seed-0 reference
         # counts an lp_failure from a fit above k_hat + 1, so pointwise rows
         # stay eager until that reference is regenerated
-        rows = np.array(list(EnvelopeRows(sample, pts, bandwidths, cfg.beta_star, counters)))
+        rows = np.array(list(EnvelopeRows(per_site, sites, bandwidths, cfg.beta_star, counters)))
         values, traces = [], []
-        for xp, column in zip(pts, rows.T):
-            traces.append(_select_site(sample, cfg, bgrid, xp, column, counters))
+        for i, (xp, column) in enumerate(zip(sites, rows.T)):
+            traces.append(_select_site(samples[i // pts.size], cfg, bgrid, xp, column, counters))
             k_hat = traces[-1]["k_hat"]
             if np.isnan(column[k_hat]):
                 # nearest fit that succeeded at a smaller bandwidth, if any
@@ -439,6 +470,7 @@ def adaptive_estimate(sample: Sample, cfg: EstimatorConfig, x=None, grid=None):
                     _bump(counters, "selected_estimate_missing")
             values.append(column[k_hat])
     else:
+        sites = pts
         xs = sample.xs()
         rows = EnvelopeRows(sample, xs, bandwidths, cfg.beta_star, counters)
         traces = [_select_site(sample, cfg, bgrid, 0.5, rows, counters)]
@@ -455,10 +487,12 @@ def adaptive_estimate(sample: Sample, cfg: EstimatorConfig, x=None, grid=None):
         trace = {name: v[0].item() if v.ndim == 1 else v[0] for name, v in trace.items()}
     diag = Diagnostics(
         mode="pointwise" if cfg.q is None else "lq",
-        points=pts,
+        points=sites,
         grid=bgrid,
         counters=counters,
         warnings=warn,
         **trace,
     )
-    return (float(values[0]) if x is not None else np.array(values, dtype=float)), diag
+    if x is not None and not stack:
+        return float(values[0]), diag
+    return np.array(values, dtype=float), diag

@@ -156,13 +156,15 @@ def estimate_at(sample: Sample, x: float, h: float, degree: int) -> float:
     return float(sol.variables[0] + shift)
 
 
-def estimate_windows(sample: Sample, xs, starts, meff: int, h: float, degree: int):
-    """Envelope estimates at points xs whose windows all hold meff points.
+def estimate_windows(samples, xs, starts, meff: int, h: float, degree: int):
+    """Envelope estimates at sites whose windows all hold meff points.
 
-    The window of xs[i] starts at the zero-based design index starts[i]; the
-    caller has it from window_bounds, with meff >= degree + 2.  _window_lps
-    stacks their LPs, which are solved in lockstep batches of lp.batch_size.
-    Returns (values, iterations, solved).  Where solved, values[i] is
+    Site i is the point xs[i] of the Sample samples[i], or of samples itself
+    when it is one Sample; all share one n.  Its window starts at the
+    zero-based design index starts[i]; the caller has it from
+    window_bounds, with meff >= degree + 2.  _window_lps stacks their LPs,
+    which are solved in lockstep batches of lp.batch_size.  Returns
+    (values, iterations, solved).  Where solved, values[i] is
     estimate_at(sample, xs[i], h, degree) bit for bit and iterations[i]
     counts its LP's pivots; elsewhere values[i] is NaN, and estimate_at
     gives the value or raises NumericalBreakdown.
@@ -174,44 +176,55 @@ def estimate_windows(sample: Sample, xs, starts, meff: int, h: float, degree: in
     solved = np.zeros(xs.size, dtype=bool)
     step = batch_size(meff, degree + 1)
     for lo in range(0, xs.size, step):
-        idx = np.arange(lo, min(lo + step, xs.size))
+        at = slice(lo, lo + step)
         fits, powers, objective, rhs, shift = _window_lps(
-            sample, xs[idx], starts[idx], meff, h, degree)
-        b, iterations[idx], solved[idx] = solve_lp_batch(
-            powers.transpose(0, 2, 1), rhs, objective)
-        solved[idx] &= fits
-        values[idx] = np.where(fits, b[:, 0] + shift[:, 0], np.nan)
+            samples if isinstance(samples, Sample) else samples[at], xs[at], starts[at],
+            meff, h, degree)
+        b, iterations[at], solved[at] = solve_lp_batch(np.swapaxes(powers, -1, -2), rhs, objective)
+        solved[at] &= fits
+        values[at] = np.where(fits, b[:, 0] + shift[:, 0], np.nan)
     return values, iterations, solved
 
 
-def _window_lps(sample, xs, starts, meff, h, degree):
+def _window_lps(samples, xs, starts, meff, h, degree):
     """The envelope LPs of _solve_window at points xs whose windows hold
     the meff design points from the zero-based index starts.
 
-    xs and starts are a float and an int for one window, whose responses
-    stay a view of the sample, or 1-D arrays for a stack of windows, one
-    per row.  Returns (fits, powers, objective, rhs, shift): powers has
+    xs and starts are a float and an int for one window of the Sample
+    samples, whose responses stay a view of it, or 1-D arrays for a stack
+    of windows, one per row, of samples[i] (or of samples itself when it is
+    one Sample).  Returns (fits, powers, objective, rhs, shift): powers has
     shape (..., degree + 1, meff), the constraint matrix transposed, and
-    rhs holds the responses less their maximum, shift.  Where that would
+    rhs holds the responses less their maximum, shift.  A stack whose
+    windows all sit at one point, as replicates do, gets that point's
+    powers and objective, one for every row.  Where the shift would
     overflow, one window raises NumericalBreakdown, and in a stack fits
     marks the window False and its rhs holds zeros.
     """
     if isinstance(starts, np.ndarray):
-        yw = sample.ys[starts[:, None] + np.arange(meff)]
+        if isinstance(samples, Sample):
+            n, yw = samples.n, samples.ys[starts[:, None] + np.arange(meff)]
+        else:
+            n = samples[0].n
+            yw = np.array([s.ys[a : a + meff] for s, a in zip(samples, starts.tolist())])
         shift = yw.max(axis=1, keepdims=True)
         fits = np.array([not spread_overflows(top, bottom)
                          for top, bottom in zip(shift[:, 0].tolist(), yw.min(axis=1).tolist())])
         if not fits.all():
             yw = np.where(fits[:, None], yw, shift)
-        t = np.arange(1.0, meff + 1) + starts[:, None]
-        xs = xs[:, None]
+        if (xs == xs[0]).all() and (starts == starts[0]).all():  # one basis for the stack
+            xs, starts = float(xs[0]), int(starts[0])
     else:
-        yw = sample.ys[starts : starts + meff]
+        n, yw = samples.n, samples.ys[starts : starts + meff]
         shift, fits = yw.max(), True
         if spread_overflows(shift, yw.min()):  # finite responses such as 1e308 and -1e308
             raise NumericalBreakdown(f"shifted responses at x={xs} with h={h} overflow")
+    if isinstance(starts, np.ndarray):
+        t = np.arange(1.0, meff + 1) + starts[:, None]
+        xs = xs[:, None]
+    else:
         t = np.arange(starts + 1, starts + meff + 1, dtype=float)
-    t /= sample.n
+    t /= n
     t -= xs
     t /= _window_scale(h)
     powers, objective = _power_basis(t, degree)

@@ -38,6 +38,8 @@ a large tableau in column blocks that stay in cache.
 Phase 1 reads only A and c, and envelope fits over one design repeat the
 same windows, so its result is memoized on the exact bytes of (A, c) in a
 bounded least-recently-used store; the responses r enter in phase 2 alone.
+So a lockstep stack of problems that share A and c, such as Monte Carlo
+replicates of one window, takes one phase 1 from that store.
 """
 
 from __future__ import annotations
@@ -552,30 +554,52 @@ def batch_size(m, nv):
     return max(1, BATCH_TABLEAU_BYTES // (8 * (nv + 1) * (m + nv + 1)))
 
 
+def lockstep_pays(problems, m, nv):
+    """Whether problems with m constraints and nv variables solve faster in
+    lockstep than one at a time: one batch must hold MIN_LOCKSTEP_BATCH of
+    them, and from nv = 8 on, m must exceed 3 nv (README has the sweep)."""
+    return min(problems, batch_size(m, nv)) >= MIN_LOCKSTEP_BATCH and (nv < 8 or m > 3 * nv)
+
+
 def solve_lp_batch(A, r, c):
     """Solve P problems min{c[p] . b : A[p] b >= r[p]} of one shape in lockstep.
 
-    A has shape (P, m, nv), r (P, m) and c (P, nv), all finite.  A problem
-    is solved when solve_lp would return it optimal by Dantzig pricing alone:
+    r has shape (P, m).  A has shape (P, m, nv) and c (P, nv), or A (m, nv)
+    and c (nv,) are shared by every problem; all finite.  A problem is
+    solved when solve_lp would return it optimal by Dantzig pricing alone:
     then its vertex and pivot count are solve_lp's, bit for bit, and it
-    passed solve_lp's certificate.  Phase 1 runs here, not through the memo.
+    passed solve_lp's certificate.  A stack runs phase 1 here, in lockstep;
+    a shared A and c run it once, through solve_lp's memo, and when that
+    phase 1 is dual infeasible or raises, no problem is solved.
     Returns (variables (P, nv), iterations (P,), solved (P,)); a problem not
     solved has NaN variables, and solve_lp gives its result or its
     NumericalBreakdown.  The tableaux take 8 (nv+1)(m+nv+1) bytes each, so
     callers bound P by batch_size.
     """
-    P, m, nv = A.shape
+    P, m = r.shape
+    nv = c.shape[-1]
     ncols = m + nv
     pivots = np.zeros(P, dtype=int)
     live = np.ones(P, dtype=bool)
     owner = np.arange(P)  # T[i] holds problem owner[i]'s tableau
     with np.errstate(over="ignore", invalid="ignore"):
-        # phase 1 as _phase1 runs it, each tableau permuted along with owner
-        T, basis, tol = _dual_tableau(A, c)
-        _run_lockstep(T, basis, owner, ncols, tol, pivots, live)
-        live[owner] &= ~(-T[:, -1, -1] > ARTIFICIAL_TOL * _scale(c[owner]))
-        for i in np.flatnonzero(live[owner] & (basis >= m).any(axis=1)):
-            pivots[owner[i]] += _drive_out(T[i], basis[i], m)
+        if A.ndim == 2:
+            # phase 1 reads A and c alone: one run, repeated for each problem
+            try:
+                T, basis, pivots[:] = _phase1_memo(A, c)
+            except NumericalBreakdown:
+                T = None
+            if T is None:
+                return np.full((P, nv), np.nan), pivots, ~live
+            T = np.repeat(T[None], P, axis=0)
+            basis = np.repeat(basis[None], P, axis=0)
+        else:
+            # phase 1 as _phase1 runs it, each tableau permuted along with owner
+            T, basis, tol = _dual_tableau(A, c)
+            _run_lockstep(T, basis, owner, ncols, tol, pivots, live)
+            live[owner] &= ~(-T[:, -1, -1] > ARTIFICIAL_TOL * _scale(c[owner]))
+            for i in np.flatnonzero(live[owner] & (basis >= m).any(axis=1)):
+                pivots[owner[i]] += _drive_out(T[i], basis[i], m)
 
         # phase 2 as _solve_via_dual runs it
         tol = _price_phase2(T, basis, r[owner])
@@ -590,15 +614,17 @@ def solve_lp_batch(A, r, c):
 def _certified(A, r, c, b, dual_value, live):
     """Which live problems pass _certify.
 
-    Each value c . b is _certify's dot product, bit for bit, so the value
-    and gap tests decide as there, and _clearly_feasible settles most
-    vertices at once; each other live problem gets _certify itself.
+    A and c are a stack or shared, as in solve_lp_batch.  Each value c . b
+    is _certify's dot product, bit for bit, so the value and gap tests
+    decide as there, and _clearly_feasible settles most vertices at once;
+    each other live problem gets _certify itself.
     """
-    value = np.matmul(c[:, None], b[:, :, None])[:, 0, 0]
+    value = np.matmul(c[..., None, :], b[:, :, None])[:, 0, 0]
     ok = live & np.isfinite(value) & _gap_closed(value, dual_value) & _clearly_feasible(A, r, b)
     for p in np.flatnonzero(live & ~ok):
         try:
-            _certify(A[p], r[p], c[p], b[p], dual_value[p])
+            _certify(A[p] if A.ndim == 3 else A, r[p], c[p] if c.ndim == 2 else c,
+                     b[p], dual_value[p])
             ok[p] = True
         except NumericalBreakdown:
             pass

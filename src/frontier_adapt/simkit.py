@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adapt import EstimatorConfig, adaptive_estimate, check_seed
+from .adapt import EstimatorConfig, adaptive_estimate, check_n, check_seed
 from .errors import (
     DegenerateInput,
     DomainError,
@@ -23,8 +23,12 @@ from .errors import (
     UnknownName,
 )
 from .local_poly import Sample
+from .lp import MIN_LOCKSTEP_BATCH
 
 ERROR_KINDS = ("negexp", "neggamma", "refgamma", "neguniform", "negweibull", "zero")
+# cap on the responses of one chunk of point-target replicates: 1 MiB holds
+# 40 replicates at n = 1600 and 20 at n = 6400
+MC_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -138,8 +142,7 @@ def gen_sample(f, em: ErrorModel, n: int, seed) -> Sample:
     seed may be an int >= 0 or a tuple of them (e.g. (master_seed,
     replicate)).  An error model that draws a non-finite error, such as
     negexp at a subnormal rate, raises InvalidConfig."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidConfig("n must be an integer >= 2")
+    check_n(n)
     xs = np.arange(1, n + 1, dtype=float) / n
     rng = _rng_for(seed)
     errors = draw_errors(em, xs, rng)
@@ -148,21 +151,37 @@ def gen_sample(f, em: ErrorModel, n: int, seed) -> Sample:
     return Sample(np.asarray(f(xs), dtype=float) + errors)
 
 
-def _replicate_loss(args):
-    """One Monte Carlo replicate; None signals a dropped replicate."""
-    f, em, cfg, n, target, master_seed, r = args
+def _chunk_losses(args):
+    """The losses of one chunk of Monte Carlo replicates, in order; None
+    marks a dropped replicate.  A point target fits the chunk's samples in
+    one adaptive_estimate call, which gives each the value it gets alone:
+    a NaN drops its replicate, and a failed call drops them all."""
+    f, em, cfg, n, target, master_seed, reps = args
+    seeds = [(master_seed, r) for r in reps]
+    if target[0] == "lq":
+        return [_lq_loss(f, em, cfg, n, float(target[1]), seed) for seed in seeds]
+    x0 = float(target[1])
     try:
-        sample = gen_sample(f, em, n, (master_seed, r))
-        if target[0] == "point":
-            x0 = float(target[1])
-            value, _ = adaptive_estimate(sample, replace(cfg, q=None), x=x0)
-            if not np.isfinite(value):
-                return None
-            try:
-                return (value - float(np.asarray(f(x0)))) ** 2
-            except OverflowError:  # a float power raises; mc_risk rejects the inf
-                return math.inf
-        q = float(target[1])
+        samples = [gen_sample(f, em, n, seed) for seed in seeds]
+        values, _ = adaptive_estimate(samples, replace(cfg, q=None), x=x0)
+        fx0 = float(np.asarray(f(x0)))
+    except InvalidConfig:
+        raise
+    except FrontierAdaptError:
+        return [None] * len(seeds)
+    losses = []
+    for value in values.tolist():
+        try:
+            losses.append((value - fx0) ** 2 if math.isfinite(value) else None)
+        except OverflowError:  # a float power raises; mc_risk rejects the inf
+            losses.append(math.inf)
+    return losses
+
+
+def _lq_loss(f, em, cfg, n, q, seed):
+    """One replicate's empirical q-th power loss over the design; None drops it."""
+    try:
+        sample = gen_sample(f, em, n, seed)
         xs = sample.xs()
         values, _ = adaptive_estimate(sample, replace(cfg, q=q), grid=xs)
         if not np.all(np.isfinite(values)):
@@ -203,18 +222,29 @@ def mc_risk(f, em: ErrorModel, cfg: EstimatorConfig, n: int, reps: int, target, 
         raise InvalidConfig("reps must be >= 2")
     check_target(target)
     check_seed(master_seed)
-    tasks = [(f, em, cfg, n, target, master_seed, r) for r in range(reps)]
-    # the pool starts all its workers at once: never more than tasks or CPUs
+    check_n(n)
+    # the pool starts all its workers at once: never more than replicates or CPUs
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(int(threads), reps, cpus or 1)
+    if target[0] == "point":
+        # one chunk per worker, but one that fills a lockstep batch where
+        # reps allow (so fewer than 16 replicates per worker leave workers
+        # idle), and its samples within MC_CHUNK_BYTES
+        size = min(max(1, MC_CHUNK_BYTES // (8 * n)), max(MIN_LOCKSTEP_BATCH, -(-reps // workers)))
+    else:
+        size = 1
+    tasks = [(f, em, cfg, n, target, master_seed, range(lo, min(lo + size, reps)))
+             for lo in range(0, reps, size)]
     if workers > 1:
         # imported here: the pool's imports cost about 20 ms that serial runs skip
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_replicate_loss, tasks, chunksize=max(1, reps // (4 * workers))))
+            chunks = list(pool.map(_chunk_losses, tasks,
+                                   chunksize=max(1, len(tasks) // (4 * workers))))
     else:
-        raw = [_replicate_loss(t) for t in tasks]
+        chunks = [_chunk_losses(t) for t in tasks]
+    raw = [v for chunk in chunks for v in chunk]
     losses = [v for v in raw if v is not None]
     dropped = reps - len(losses)
     if dropped > 0.05 * reps:

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -393,6 +394,96 @@ def test_grid_equals_each_point_alone(monkeypatch, n, kind, beta_star, points):
         for key, count in alone.counters.items():
             total[key] = total.get(key, 0) + count
     assert diag.counters == total
+
+
+@pytest.mark.parametrize("n, kind, beta_star, x0, reps", [
+    (30, "zero", 0, 0.5, 20),
+    (60, "neguniform", 8, 1.0, 20),
+    (200, "negexp", 2, 0.5, 20),
+    (400, "neggamma", 5, 1.0, 20),
+    (1600, "negexp", 2, 0.5, 20),
+    (100, "neggamma", 2, 0.5, 5),
+    (400, "neguniform", 8, 0.5, 5),
+    (800, "zero", 5, 1.0, 5),
+])
+def test_stack_equals_each_sample_alone(monkeypatch, n, kind, beta_star, x0, reps):
+    # replicates of one design in one call: every value, per-site trace and
+    # counter as when each sample runs alone, whether the stack's rows went
+    # to the lockstep batch (20 samples) or not (5); one replicate with
+    # 1e308 beside -1e308 at x0 fails alone, and without a warning
+    batched = []
+    batch = adapt.estimate_windows
+
+    def recording(samples, xs, *args):
+        batched.append(len(xs))
+        return batch(samples, xs, *args)
+
+    monkeypatch.setattr(adapt, "estimate_windows", recording)
+    em = ErrorModel(kind, spatial=alpha_profile) if kind == "neggamma" else ErrorModel(kind)
+    samples = [gen_sample(builtin_f("f2"), em, n, (5, r)) for r in range(reps)]
+    ys = samples[3].ys.copy()
+    at = round(x0 * n) - 1
+    ys[at - 1], ys[at] = 1e308, -1e308
+    samples[3] = Sample(ys)
+    cfg = EstimatorConfig(beta_star=beta_star)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, diag = adaptive_estimate(samples, cfg, x=x0)
+        assert bool(batched) == (reps >= lp.MIN_LOCKSTEP_BATCH)
+        total, failures = {}, []
+        for r, sample in enumerate(samples):
+            value, alone = adaptive_estimate(sample, cfg, x=x0)
+            assert np.float64(value).tobytes() == values[r].tobytes(), r
+            for name in _SITE_FIELDS:
+                assert np.asarray(getattr(diag, name)[r]).tobytes() == getattr(alone, name)[0].tobytes()
+            for key, count in alone.counters.items():
+                total[key] = total.get(key, 0) + count
+            failures.append(alone.counters.get("lp_failures", 0))
+    assert diag.counters == total
+    assert values.shape == (reps,) and diag.points.tolist() == [x0] * reps
+    assert np.isnan(values[3]) and np.isfinite(np.delete(values, 3)).all()
+    assert failures[3] > 0 and not any(np.delete(failures, 3))
+
+
+def test_stack_argument_contract():
+    sample = gen_sample(builtin_f("const"), ErrorModel("negexp"), 50, seed=2)
+    other = gen_sample(builtin_f("const"), ErrorModel("negexp"), 60, seed=2)
+    for stack in ([], [sample, other], [sample, sample.ys]):
+        with pytest.raises(InvalidConfig, match="Samples of one n"):
+            adaptive_estimate(stack, EstimatorConfig(), x=0.5)
+    # L_q rows are fitted lazily per sample, so a stack has no one L_q selection
+    with pytest.raises(InvalidConfig, match="one Sample"):
+        adaptive_estimate([sample, sample], EstimatorConfig(q=1.0), grid=sample.xs())
+    # a grid gives one site per (sample, point), sample-major
+    values, diag = adaptive_estimate([sample, sample], EstimatorConfig(), grid=[0.2, 0.7])
+    alone, _ = adaptive_estimate(sample, EstimatorConfig(), grid=[0.2, 0.7])
+    assert values.tobytes() == np.tile(alone, 2).tobytes()
+    assert diag.points.tolist() == [0.2, 0.7, 0.2, 0.7] and diag.k_hat.shape == (4,)
+
+
+def test_small_windows_at_high_degree_go_scalar(monkeypatch):
+    # from degree 7 on, a window of 3 (degree + 1) points or fewer is fitted
+    # one at a time however many share it: at degree 8 the 11-point row of a
+    # design stays scalar and its 29-point row goes to the batch, each with
+    # the values of per-point fits
+    assert not lp.lockstep_pays(64, 11, 9) and not lp.lockstep_pays(64, 27, 9)
+    assert lp.lockstep_pays(64, 28, 9) and lp.lockstep_pays(16, 11, 7)
+    batched = []
+    batch = adapt.estimate_windows
+
+    def recording(samples, xs, starts, meff, *args):
+        batched.append(meff)
+        return batch(samples, xs, starts, meff, *args)
+
+    monkeypatch.setattr(adapt, "estimate_windows", recording)
+    sample = gen_sample(builtin_f("f2"), ErrorModel("negexp"), 200, (0, 0))
+    xs = sample.xs()
+    for h, m in ((5.0 / 200, 11), (14.0 / 200, 29)):
+        batched.clear()
+        row = EnvelopeRows(sample, xs, [h], 8)[0]
+        assert batched == ([m] if m > 27 else [])
+        alone = [EnvelopeRows(sample, [x], [h], 8)[0][0] for x in xs]
+        assert row.tobytes() == np.array(alone).tobytes()
 
 
 def test_every_lockstep_batch_pays(monkeypatch):

@@ -422,6 +422,65 @@ def test_golden_envelope_lps_through_the_batch_kernel():
     assert max(len(group) for group in by_shape.values()) >= 2
 
 
+def _responses(rng, lp, count):
+    """count shifted response vectors for the LP's A and c, its own first."""
+    r = lp.constraint_rhs - rng.exponential(size=(count, lp.n_constraints)) * rng.uniform(0.0, 3.0, (count, 1))
+    r[0] = lp.constraint_rhs
+    return r - r.max(axis=1, keepdims=True)
+
+
+def test_shared_problems_through_the_batch_kernel(monkeypatch):
+    # each golden envelope LP's A and c with 20 response vectors: one A and c
+    # for the stack gives what the stacked copies and solve_lp give, bit for
+    # bit, and phase 1 runs once, through solve_lp's memo
+    rng = np.random.default_rng(20261020)
+    runs = _count_phase1(monkeypatch)
+    for lp in _golden_lps()[:-1]:
+        A, c = lp.constraint_matrix, lp.objective
+        r = _responses(rng, lp, 20)
+        lp_module._phase1_memo.clear()
+        runs.clear()
+        shared = lp_module.solve_lp_batch(A, r, c)
+        assert len(runs) == 1
+        stacked = lp_module.solve_lp_batch(np.array([A] * 20), r, np.array([c] * 20))
+        for got, want in zip(shared, stacked):
+            assert got.tobytes() == want.tobytes()
+        b, iterations, solved = shared
+        assert solved[0] and solved.sum() >= 15
+        for p in np.flatnonzero(solved):
+            sol = solve_lp(LinearProgram(c, A, r[p]))
+            assert b[p].tobytes() == sol.variables.tobytes()
+            assert iterations[p] == sol.iterations
+        assert len(runs) == 1
+
+
+def _verdict(lp):
+    try:
+        return _solution_bytes(solve_lp(lp))
+    except NumericalBreakdown as exc:
+        return str(exc)
+
+
+def test_shared_phase_one_that_fails_leaves_every_problem_to_solve_lp(monkeypatch):
+    # a shared A and c whose phase 1 finds the dual infeasible (an unbounded
+    # LP), or raises at the pivot cap: no problem is solved, and solve_lp
+    # gives each one the status or exception it gives on its own
+    rng = np.random.default_rng(3)
+    unbounded = LinearProgram([-1.0], [[1.0], [1.0]], [0.0, 1.0])
+    envelope = _golden_lps()[12]
+    for lp, factor in ((unbounded, lp_module._MAX_PIVOT_FACTOR), (envelope, 0)):
+        monkeypatch.setattr(lp_module, "_MAX_PIVOT_FACTOR", factor)
+        r = _responses(rng, lp, 20)
+        problems = [LinearProgram(lp.objective, lp.constraint_matrix, rp) for rp in r]
+        lp_module._phase1_memo.clear()
+        before = [_verdict(p) for p in problems]
+        lp_module._phase1_memo.clear()
+        b, _, solved = lp_module.solve_lp_batch(lp.constraint_matrix, r, lp.objective)
+        assert not solved.any() and np.isnan(b).all()
+        assert [_verdict(p) for p in problems] == before
+    assert before[0] == "simplex pivot limit exceeded"
+
+
 def test_batch_kernel_leaves_the_rest_to_solve_lp():
     # Beale's instance needs Bland's rule; the dual of an infeasible LP is
     # unbounded and that of an unbounded one infeasible: none is solved, and

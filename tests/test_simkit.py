@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from frontier_adapt import lp
-from frontier_adapt.adapt import EstimatorConfig, build_grid
+from frontier_adapt import local_poly, lp, simkit
+from frontier_adapt.adapt import EstimatorConfig, adaptive_estimate, build_grid
 from frontier_adapt.errors import (
     DegenerateInput,
     DomainError,
@@ -17,8 +17,10 @@ from frontier_adapt.errors import (
     PipelineError,
     UnknownName,
 )
+from frontier_adapt.local_poly import Sample
 from frontier_adapt.simkit import (
     ERROR_KINDS,
+    MC_CHUNK_BYTES,
     ErrorModel,
     alpha_profile,
     builtin_f,
@@ -157,10 +159,13 @@ def test_mc_risk_noiseless_is_zero():
 
 @pytest.mark.parametrize("target", [("point", 0.5), ("lq", 1.0)])
 def test_mc_risk_parallel_matches_serial_bitwise(target):
-    args = (builtin_f("f2"), ErrorModel("negexp"), EstimatorConfig(), 60, 5, target)
-    serial = mc_risk(*args, master_seed=3)
-    assert serial[0] > 0.0
-    assert mc_risk(*args, master_seed=3, threads=2) == serial
+    # the point target also at 20 replicates of n = 400, where a pool worker
+    # fits a chunk of 16 in lockstep and the serial run one chunk of 20
+    for n, reps in [(60, 5)] + [(400, 20)] * (target[0] == "point"):
+        args = (builtin_f("f2"), ErrorModel("negexp"), EstimatorConfig(), n, reps, target)
+        serial = mc_risk(*args, master_seed=3)
+        assert serial[0] > 0.0
+        assert mc_risk(*args, master_seed=3, threads=2) == serial
 
 
 def test_mc_risk_pool_never_exceeds_reps(monkeypatch):
@@ -239,6 +244,60 @@ def test_replicates_share_phase_one(monkeypatch):
     K = build_grid(400, cfg.h0_exponent, cfg.rho).K
     assert K == 5
     assert len(calls) == K + 1 == len(set(calls))
+
+
+def test_replicate_chunks_share_phase_one(monkeypatch):
+    # 20 replicates at one point are one chunk: each row's windows go to the
+    # lockstep batch with one A and c, and phase 1 runs once per row
+    calls, shared = [], []
+    phase1, batch = lp._phase1, local_poly.solve_lp_batch
+    monkeypatch.setattr(lp, "_phase1", lambda A, c: calls.append(A.shape) or phase1(A, c))
+    monkeypatch.setattr(local_poly, "solve_lp_batch",
+                        lambda A, r, c: shared.append((A.ndim, len(r))) or batch(A, r, c))
+    lp._phase1_memo.clear()
+    cfg = EstimatorConfig()
+    mc_risk(builtin_f("absdip"), ErrorModel("negexp"), cfg, 400, 20, ("point", 0.5), 0)
+    K = build_grid(400, cfg.h0_exponent, cfg.rho).K
+    assert len(calls) == K + 1 == len(set(calls))
+    assert shared == [(2, 20)] * (K + 1)
+
+
+def test_a_nan_replicate_drops_alone_from_its_chunk(monkeypatch):
+    # replicate 7's sample holds 1e308 beside -1e308 at x0, so its estimate
+    # is NaN: the risk is that of the other 19, each fitted alone
+    real = simkit.gen_sample
+
+    def overflowing(f, em, n, seed):
+        sample = real(f, em, n, seed)
+        if seed[1] != 7:
+            return sample
+        ys = sample.ys.copy()
+        ys[n // 2 - 2 : n // 2] = 1e308, -1e308
+        return Sample(ys)
+
+    monkeypatch.setattr(simkit, "gen_sample", overflowing)
+    f, em, cfg = builtin_f("absdip"), ErrorModel("negexp"), EstimatorConfig()
+    risk, stderr = mc_risk(f, em, cfg, 400, 20, ("point", 0.5), 2)
+    alone = [adaptive_estimate(overflowing(f, em, 400, (2, r)), cfg, x=0.5)[0] for r in range(20)]
+    assert math.isnan(alone[7])
+    losses = np.array([(v - float(f(0.5))) ** 2 for r, v in enumerate(alone) if r != 7])
+    assert (risk, stderr) == (float(losses.mean()), float(losses.std(ddof=1) / math.sqrt(19)))
+
+
+def test_a_chunk_holds_at_most_its_cap_of_samples(monkeypatch):
+    # at n = 40,000 the 1 MiB cap holds 3 samples: 7 replicates in 3 chunks
+    chunks = []
+
+    def recording(samples, cfg, x):
+        chunks.append(len(samples))
+        assert sum(s.ys.nbytes for s in samples) <= MC_CHUNK_BYTES
+        return np.zeros(len(samples)), None
+
+    monkeypatch.setattr(simkit, "adaptive_estimate", recording)
+    risk, _ = mc_risk(builtin_f("const"), ErrorModel("zero"), EstimatorConfig(), 40_000, 7,
+                      ("point", 0.5), 0)
+    assert risk == 9.0
+    assert chunks == [3, 3, 1] and MC_CHUNK_BYTES // (8 * 40_000) == 3
 
 
 @pytest.mark.parametrize("seed", [-1, (0, -1), 1.5, "7", True, None])
