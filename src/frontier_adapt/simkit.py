@@ -23,11 +23,10 @@ from .errors import (
     UnknownName,
 )
 from .local_poly import Sample
-from .lp import MIN_LOCKSTEP_BATCH
 
 ERROR_KINDS = ("negexp", "neggamma", "refgamma", "neguniform", "negweibull", "zero")
 # cap on the responses of one chunk of point-target replicates: 1 MiB holds
-# 40 replicates at n = 1600 and 20 at n = 6400
+# 81 samples at n = 1600, 20 at n = 6400 and 3 at n = 40,000
 MC_CHUNK_BYTES = 1 << 20
 
 
@@ -227,10 +226,8 @@ def mc_risk(f, em: ErrorModel, cfg: EstimatorConfig, n: int, reps: int, target, 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(int(threads), reps, cpus or 1)
     if target[0] == "point":
-        # one chunk per worker, but one that fills a lockstep batch where
-        # reps allow (so fewer than 16 replicates per worker leave workers
-        # idle), and its samples within MC_CHUNK_BYTES
-        size = min(max(1, MC_CHUNK_BYTES // (8 * n)), max(MIN_LOCKSTEP_BATCH, -(-reps // workers)))
+        # one chunk per worker, its samples within MC_CHUNK_BYTES
+        size = min(max(1, MC_CHUNK_BYTES // (8 * n)), -(-reps // workers))
     else:
         size = 1
     tasks = [(f, em, cfg, n, target, master_seed, range(lo, min(lo + size, reps)))

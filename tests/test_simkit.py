@@ -159,9 +159,9 @@ def test_mc_risk_noiseless_is_zero():
 
 @pytest.mark.parametrize("target", [("point", 0.5), ("lq", 1.0)])
 def test_mc_risk_parallel_matches_serial_bitwise(target):
-    # the point target also at 20 replicates of n = 400, where a pool worker
-    # fits a chunk of 16 in lockstep and the serial run one chunk of 20
-    for n, reps in [(60, 5)] + [(400, 20)] * (target[0] == "point"):
+    # the point target also at 32 replicates of n = 400, where each of 2
+    # pool workers fits a chunk of 16 in lockstep and the serial run one of 32
+    for n, reps in [(60, 5)] + [(400, 32)] * (target[0] == "point"):
         args = (builtin_f("f2"), ErrorModel("negexp"), EstimatorConfig(), n, reps, target)
         serial = mc_risk(*args, master_seed=3)
         assert serial[0] > 0.0
