@@ -35,18 +35,16 @@ over the d+1 constraint rows, with the same IEEE divisions NumPy would do.
 On a wide window it is memory passes over the tableau, so a pivot updates
 a large tableau in column blocks that stay in cache.
 
-Phase 1 reads only A and c, and envelope fits over one design repeat the
-same windows, so its result is memoized on the exact bytes of (A, c) in a
-bounded least-recently-used store; the responses r enter in phase 2 alone.
-So a lockstep stack of problems that share A and c, such as Monte Carlo
-replicates of one window, takes one phase 1 from that store.
+Phase 1 reads only A and c, and Monte Carlo replicates refit the same
+window one after another, so the last phase 1 is memoized in one slot keyed
+on the exact bytes of (A, c); the responses r enter in phase 2 alone.  So a
+lockstep stack of problems that share A and c, such as the replicates of
+one window, takes one phase 1 from that slot.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +64,7 @@ RATIO_BAND_TOL = 1e-9    # ratios within this of the least, relative, tie for le
 DUALITY_GAP_TOL = 1e-7   # relative, on the recovered solution's duality gap
 _MAX_PIVOT_FACTOR = 10   # safety cap: pivots <= factor * (rows + cols), >= 40 (README)
 _STALL_LIMIT = 30        # consecutive degenerate pivots before Bland's rule
-PHASE1_MEMO_BYTES = 1 << 20  # cap on the phase-1 memo's keys and tableaux
+PHASE1_MEMO_BYTES = 1 << 19  # cap on the phase-1 memo's key and tableau
 BATCH_TABLEAU_BYTES = 3 << 17  # cap on the tableaux of one lockstep batch (384 KiB)
 MIN_LOCKSTEP_BATCH = 16  # fewer problems per batch solve faster one at a time (README)
 PIVOT_BLOCK_BYTES = 1 << 19  # cap on the column blocks that _pivot updates in cache
@@ -321,58 +319,34 @@ def _drive_out(T, basis, m):
     return pivots
 
 
-class _Phase1Memo:
-    """Least-recently-used store of _phase1 results keyed on the bytes of (A, c).
+_phase1_slot = (None, None)  # (key, (T, basis, pivots)) of the last memoized phase 1
+
+
+def _phase1_memo(A, c):
+    """_phase1(A, c), memoized in one slot keyed on the bytes of (A, c).
 
     Phase 1 reads nothing but A and c, so a stored result is the one a fresh
     run would compute, bit for bit; callers get copies, since phase 2 pivots
-    the tableau in place.  Keys and tableaux together stay within cap bytes.
-    An entry larger than half the cap would crowd out the rest, so such a
-    problem runs phase 1 without building a key.  A NumericalBreakdown
-    propagates and leaves nothing stored.
+    the tableau in place.  Any other key runs phase 1 and takes the slot in
+    one reference assignment, so threads share it without a lock: each reads
+    a whole (key, result) pair, and a lost race costs a phase-1 run, never a
+    wrong result.  A problem whose key and tableau would take more than
+    PHASE1_MEMO_BYTES runs phase 1 without building a key, and like a
+    NumericalBreakdown, leaves the slot as it was.
     """
-
-    def __init__(self, cap):
-        self.cap = cap
-        self.nbytes = 0
-        self._entries = OrderedDict()  # key -> ((T, basis, pivots), nbytes)
-        self._lock = threading.Lock()
-
-    def __len__(self):
-        return len(self._entries)
-
-    def clear(self):
-        with self._lock:
-            self._entries.clear()
-            self.nbytes = 0
-
-    def __call__(self, A, c):
-        m, nv = A.shape
-        key_bytes = A.nbytes + c.nbytes
-        if key_bytes + 8 * ((nv + 1) * (m + nv + 1) + nv) > self.cap // 2:
-            return _phase1(A, c)
-        key = (A.shape, A.T.tobytes(), c.tobytes())
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-        if entry is None:
-            result = _phase1(A, c)
-            T, basis, _ = result
-            entry = (result, key_bytes + (0 if T is None else T.nbytes + basis.nbytes))
-            with self._lock:
-                if key not in self._entries:
-                    self._entries[key] = entry
-                    self.nbytes += entry[1]
-                    while self.nbytes > self.cap:
-                        self.nbytes -= self._entries.popitem(last=False)[1][1]
-        T, basis, pivots = entry[0]
-        if T is None:
-            return None, None, pivots
-        return T.copy(), basis.copy(), pivots
-
-
-_phase1_memo = _Phase1Memo(PHASE1_MEMO_BYTES)
+    global _phase1_slot
+    m, nv = A.shape
+    if A.nbytes + c.nbytes + 8 * ((nv + 1) * (m + nv + 1) + nv) > PHASE1_MEMO_BYTES:
+        return _phase1(A, c)
+    key = (A.shape, A.T.tobytes(), c.tobytes())
+    stored, result = _phase1_slot
+    if stored != key:
+        result = _phase1(A, c)
+        _phase1_slot = (key, result)
+    T, basis, pivots = result
+    if T is None:
+        return None, None, pivots
+    return T.copy(), basis.copy(), pivots
 
 
 def _solve_via_dual(A, r, c):
@@ -569,8 +543,8 @@ def solve_lp_batch(A, r, c):
     solved when solve_lp would return it optimal by Dantzig pricing alone:
     then its vertex and pivot count are solve_lp's, bit for bit, and it
     passed solve_lp's certificate.  A stack runs phase 1 here, in lockstep;
-    a shared A and c run it once, through solve_lp's memo, and when that
-    phase 1 is dual infeasible or raises, no problem is solved.
+    a shared A and c run it once, through solve_lp's one-slot memo, and
+    when that phase 1 is dual infeasible or raises, no problem is solved.
     Returns (variables (P, nv), iterations (P,), solved (P,)); a problem not
     solved has NaN variables, and solve_lp gives its result or its
     NumericalBreakdown.  The tableaux take 8 (nv+1)(m+nv+1) bytes each, so

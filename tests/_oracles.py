@@ -1,7 +1,8 @@
 """Independent oracles shared by the unit and acceptance suites.
 
 Everything here is deliberately brute-force: exhaustive vertex enumeration
-instead of simplex, so the two implementations share no code paths.
+instead of simplex, so the two implementations share no code paths.  The
+one exception, clear_phase1_memo, resets the solver for cold-solve tests.
 """
 
 import itertools
@@ -9,6 +10,7 @@ import itertools
 import numpy as np
 
 from frontier_adapt import LinearProgram
+from frontier_adapt import lp as lp_module
 
 
 def vertex_enum_min(lp: LinearProgram, tol=1e-9):
@@ -56,3 +58,8 @@ def random_bounded_lp(rng, max_vars=3, max_rows=6):
             mu[int(rng.integers(m))] = 1.0
         c = A.T @ mu
         return LinearProgram(objective=c, constraint_matrix=A, constraint_rhs=r)
+
+
+def clear_phase1_memo():
+    """Empty the solver's one-slot phase-1 memo: the next solve runs phase 1."""
+    lp_module._phase1_slot = (None, None)

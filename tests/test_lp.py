@@ -1,4 +1,6 @@
 import hashlib
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from frontier_adapt import lp as lp_module
 from frontier_adapt.errors import NumericalBreakdown
 from frontier_adapt.lp import INFEASIBLE, OPTIMAL, UNBOUNDED
 
-from _oracles import random_bounded_lp, vertex_enum_min
+from _oracles import clear_phase1_memo, random_bounded_lp, vertex_enum_min
 
 
 def test_single_variable_envelope():
@@ -278,7 +280,7 @@ def test_golden_digest_cold_and_warm(monkeypatch):
     runs = _count_phase1(monkeypatch)
     cold, warm, again = [], [], []
     for lp in _golden_lps():
-        lp_module._phase1_memo.clear()
+        clear_phase1_memo()
         cold.append(solve_lp(lp))
         warm.append(solve_lp(lp))
         again.append(solve_lp(lp))
@@ -314,45 +316,77 @@ def test_warm_phase1_matches_cold_solve(seed, flip):
         except NumericalBreakdown as exc:
             return str(exc)
 
-    lp_module._phase1_memo.clear()
+    clear_phase1_memo()
     cold = solve_or_error(second)
-    lp_module._phase1_memo.clear()
+    clear_phase1_memo()
     solve_or_error(first)
     assert solve_or_error(second) == cold
 
 
-def test_phase1_memo_stays_within_its_cap():
-    memo = lp_module._phase1_memo
-    memo.clear()
+def test_phase1_memo_stays_within_its_cap(monkeypatch):
+    # the slot holds the last window's phase 1: a repeat runs phase 1 once,
+    # another window in between runs it again, and every solve has the bits
+    # of a cold one
     rng = np.random.default_rng(5)
-    sizes = []
-    for _ in range(40):
+    windows = []
+    for _ in range(2):
         t = np.sort(rng.uniform(-1.0, 1.0, 1500))
-        solve_lp(_envelope_lp(t, -rng.exponential(size=t.size), 3))
-        assert 0 < memo.nbytes <= lp_module.PHASE1_MEMO_BYTES
-        sizes.append(len(memo))
-    assert lp_module.PHASE1_MEMO_BYTES <= 1 << 20
-    # entries were evicted, and more than one fits
-    assert 1 < max(sizes) < 40
+        windows.append(_envelope_lp(t, -rng.exponential(size=t.size), 3))
+    cold = []
+    for lp in windows:
+        clear_phase1_memo()
+        cold.append(_solution_bytes(solve_lp(lp)))
+    runs = _count_phase1(monkeypatch)
+    for order, phase1_runs in (((0, 0), 1), ((0, 1, 0), 3)):
+        clear_phase1_memo()
+        runs.clear()
+        assert [_solution_bytes(solve_lp(windows[i])) for i in order] == [cold[i] for i in order]
+        assert len(runs) == phase1_runs
+    key, (T, basis, _) = lp_module._phase1_slot
+    assert key[0] == windows[0].constraint_matrix.shape
+    assert 0 < len(key[1]) + len(key[2]) + T.nbytes + basis.nbytes <= lp_module.PHASE1_MEMO_BYTES
+    assert lp_module.PHASE1_MEMO_BYTES <= 1 << 19
 
 
 def test_oversized_tableau_bypasses_phase1_memo(monkeypatch):
-    memo = lp_module._phase1_memo
-    memo.clear()
+    clear_phase1_memo()
     solve_lp(_golden_lps()[0])
-    before = (len(memo), memo.nbytes)
+    before = lp_module._phase1_slot
     runs = _count_phase1(monkeypatch)
     t = np.linspace(-1.0, 1.0, 20000)
     big = _envelope_lp(t, -np.abs(np.sin(40.0 * t)), 2)
     first, second = solve_lp(big), solve_lp(big)
-    assert (len(memo), memo.nbytes) == before
+    assert lp_module._phase1_slot is before
     assert len(runs) == 2
     assert _solution_bytes(first) == _solution_bytes(second)
 
 
+def test_threads_share_the_phase1_memo_without_a_lock():
+    # 4 threads solve LPs of two golden windows in turn, then each window's
+    # LPs over and over (12 and 14 share A and c, as do 27 and 29): every
+    # solve has the bits of a single-threaded cold solve, whichever window
+    # the slot holds when a thread reads it
+    lps = [_golden_lps()[i] for i in (12, 27, 14, 29)]
+    cold = []
+    for lp in lps:
+        clear_phase1_memo()
+        cold.append(_solution_bytes(solve_lp(lp)))
+    order = [0, 1, 2, 3] * 30 + [0, 2] * 20 + [1, 3] * 20
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads switch inside phase 1, not between solves
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(10):
+                clear_phase1_memo()
+                got = list(pool.map(lambda i: _solution_bytes(solve_lp(lps[i])), order, timeout=60))
+                assert got == [cold[i] for i in order]
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_golden_set_trips_bland_switch(monkeypatch):
     beale = _beale_lp()
-    lp_module._phase1_memo.clear()
+    clear_phase1_memo()
     sol = solve_lp(beale)
     assert sol.status == OPTIMAL and sol.iterations > lp_module._STALL_LIMIT
     # without the switch to Bland's rule Dantzig pricing cycles to the limit,
@@ -362,7 +396,7 @@ def test_golden_set_trips_bland_switch(monkeypatch):
     with pytest.raises(NumericalBreakdown, match="pivot limit"):
         solve_lp(beale)
     assert runs == []
-    lp_module._phase1_memo.clear()
+    clear_phase1_memo()
     with pytest.raises(NumericalBreakdown, match="pivot limit"):
         solve_lp(beale)
     assert len(runs) == 1
@@ -438,7 +472,7 @@ def test_shared_problems_through_the_batch_kernel(monkeypatch):
     for lp in _golden_lps()[:-1]:
         A, c = lp.constraint_matrix, lp.objective
         r = _responses(rng, lp, 20)
-        lp_module._phase1_memo.clear()
+        clear_phase1_memo()
         runs.clear()
         shared = lp_module.solve_lp_batch(A, r, c)
         assert len(runs) == 1
@@ -472,9 +506,9 @@ def test_shared_phase_one_that_fails_leaves_every_problem_to_solve_lp(monkeypatc
         monkeypatch.setattr(lp_module, "_MAX_PIVOT_FACTOR", factor)
         r = _responses(rng, lp, 20)
         problems = [LinearProgram(lp.objective, lp.constraint_matrix, rp) for rp in r]
-        lp_module._phase1_memo.clear()
+        clear_phase1_memo()
         before = [_verdict(p) for p in problems]
-        lp_module._phase1_memo.clear()
+        clear_phase1_memo()
         b, _, solved = lp_module.solve_lp_batch(lp.constraint_matrix, r, lp.objective)
         assert not solved.any() and np.isnan(b).all()
         assert [_verdict(p) for p in problems] == before

@@ -30,6 +30,8 @@ from frontier_adapt.simkit import (
     rate_fit,
 )
 
+from _oracles import clear_phase1_memo
+
 
 def test_all_error_models_are_nonpositive():
     rng = np.random.default_rng(0)
@@ -238,7 +240,7 @@ def test_replicates_share_phase_one(monkeypatch):
     calls = []
     phase1 = lp._phase1
     monkeypatch.setattr(lp, "_phase1", lambda A, c: calls.append(A.shape) or phase1(A, c))
-    lp._phase1_memo.clear()
+    clear_phase1_memo()
     cfg = EstimatorConfig()
     mc_risk(builtin_f("absdip"), ErrorModel("negexp"), cfg, 400, 10, ("point", 0.5), 0)
     K = build_grid(400, cfg.h0_exponent, cfg.rho).K
@@ -254,7 +256,7 @@ def test_replicate_chunks_share_phase_one(monkeypatch):
     monkeypatch.setattr(lp, "_phase1", lambda A, c: calls.append(A.shape) or phase1(A, c))
     monkeypatch.setattr(local_poly, "solve_lp_batch",
                         lambda A, r, c: shared.append((A.ndim, len(r))) or batch(A, r, c))
-    lp._phase1_memo.clear()
+    clear_phase1_memo()
     cfg = EstimatorConfig()
     mc_risk(builtin_f("absdip"), ErrorModel("negexp"), cfg, 400, 20, ("point", 0.5), 0)
     K = build_grid(400, cfg.h0_exponent, cfg.rho).K
