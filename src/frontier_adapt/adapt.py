@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegenerateWindow, DomainError, InvalidConfig, NumericalBreakdown
 from .local_poly import Sample, check_points, estimate_at, estimate_windows, window_bounds
-from .lp import MIN_LOCKSTEP_BATCH, lockstep_pays
+from .lp import lockstep_pays
 from .tail import _bump, a_hat, estimate_tail_at, first_drift
 
 # Calibrated defaults for the critical-value constants.  The theory only
@@ -86,10 +86,11 @@ def check_seed(seed):
             raise InvalidConfig(f"seed must be an integer >= 0, got {s!r}")
 
 
-def check_n(n):
-    """Raise InvalidConfig unless n, a design size, is an integer >= 2."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise InvalidConfig("n must be an integer >= 2")
+def check_count(name, value, least):
+    """Raise InvalidConfig unless value, a count such as a design size n, is
+    an integer >= least, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise InvalidConfig(f"{name} must be >= {least} and an integer, got {value!r}")
 
 
 # the largest K that build_grid allows: a rho just above 1 makes K astronomical
@@ -110,7 +111,7 @@ class BandwidthGrid:
 def build_grid(n: int, h0_exponent: float, rho: float) -> BandwidthGrid:
     """Grid with h0 = n^(h0_exponent - 1) and K = floor(log_rho n^(1 - h0_exponent)),
     K at most MAX_K."""
-    check_n(n)
+    check_count("n", n, 2)
     _check_setting("h0_exponent", h0_exponent)
     _check_setting("rho", rho)
     h0 = float(n) ** (h0_exponent - 1.0)
@@ -272,8 +273,9 @@ def lepski_select(estimates, cvs: CriticalValues, q: float | None = None) -> int
 class EnvelopeRows:
     """Envelope estimates at sites, one row per bandwidth, fitted lazily.
 
-    Site i is points[i] of the Sample samples[i], or of samples itself when
-    it is one Sample, the sample of every site; all samples share one n.
+    Site i is points[i] of the Sample samples[i]; all samples share one n.
+    One Sample, as samples, is the sample of every site: it becomes one
+    reference per site here, so every fit below sees a per-site sequence.
     Reading row k fits every missing row below it first, so the fits, and
     the counters they bump, run in the order of a full sweep.  No site
     raises: a window of m < 2 points gives NaN (window_too_small), the
@@ -291,7 +293,7 @@ class EnvelopeRows:
     """
 
     def __init__(self, samples, points, bandwidths, beta_star, counters=None):
-        self._samples = samples
+        self._samples = [samples] * len(points) if isinstance(samples, Sample) else samples
         self._points = points
         self._bandwidths = bandwidths
         self._beta_star = beta_star
@@ -313,25 +315,19 @@ class EnvelopeRows:
             self._rows.append(self._fit_row(self._bandwidths[len(self._rows)]))
         return self._rows[k]
 
-    def _sample(self, i):
-        return self._samples if isinstance(self._samples, Sample) else self._samples[i]
-
     def _fit_row(self, h):
-        if len(self._points) < MIN_LOCKSTEP_BATCH:  # too few for a batch that pays
-            return np.array([self._fit(i, h) for i in range(len(self._points))])
         points = np.asarray(self._points, dtype=float)
         row = np.full(points.size, np.nan)
         fitted = np.zeros(points.size, dtype=bool)
-        n = self._sample(0).n
-        bounds = np.array([window_bounds(n, xp, h) for xp in points], dtype=np.intp)
+        pairs = zip(self._samples, points.tolist())
+        bounds = np.array([window_bounds(s.n, xp, h) for s, xp in pairs], np.intp).reshape(-1, 2)
         sizes = bounds[:, 1] - bounds[:, 0]
-        m = int(np.bincount(sizes).argmax())
+        m = int(np.bincount(sizes, minlength=1).argmax())  # 0 on an empty grid
         interior = np.flatnonzero(sizes == m)
         if m >= self._beta_star + 2 and lockstep_pays(interior.size, m, self._beta_star + 1):
-            samples = (self._samples if isinstance(self._samples, Sample)
-                       else [self._samples[i] for i in interior])
             values, _, solved = estimate_windows(
-                samples, points[interior], bounds[interior, 0], m, h, self._beta_star)
+                [self._samples[i] for i in interior], points[interior], bounds[interior, 0], m, h,
+                self._beta_star)
             row[interior] = values
             fitted[interior] = solved
             self._fallbacks += int(interior.size - solved.sum())
@@ -342,7 +338,7 @@ class EnvelopeRows:
         return row
 
     def _fit(self, i, h):
-        sample, xp = self._sample(i), self._points[i]
+        sample, xp = self._samples[i], self._points[i]
         start, stop = window_bounds(sample.n, xp, h)
         m = stop - start
         if m < 2:
@@ -453,7 +449,7 @@ def adaptive_estimate(sample, cfg: EstimatorConfig, x=None, grid=None):
     bandwidths = bgrid.bandwidths[: bgrid.K + 1]
     if cfg.q is None:
         sites = np.tile(pts, len(samples))
-        per_site = [s for s in samples for _ in pts] if stack else sample
+        per_site = [s for s in samples for _ in pts]
         # every row, not only k <= k_hat + 1: the benchmark's seed-0 reference
         # counts an lp_failure from a fit above k_hat + 1, so pointwise rows
         # stay eager until that reference is regenerated

@@ -28,7 +28,7 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 
-from .adapt import EstimatorConfig, adaptive_estimate, build_grid
+from .adapt import EstimatorConfig, adaptive_estimate, build_grid, check_count
 from .errors import (
     DegenerateWindow,
     FrontierAdaptError,
@@ -305,8 +305,7 @@ def _read_risks_file(path):
 
 
 def cmd_rates(args, cfg):
-    if args.threads < 1:
-        raise InvalidConfig(f"--threads must be >= 1, got {args.threads}")
+    check_count("--threads", args.threads, 1)
     target = _parse_target(args.target)
     inputs = []
     if args.risks_file:

@@ -75,9 +75,13 @@ def window_indices(n: int, x: float, h: float) -> np.ndarray:
 
 
 def check_points(points) -> np.ndarray:
-    """points as an at least 1-d float array; InvalidConfig unless every one
-    is finite and lies in [0, 1], the span of the design."""
+    """points as a 1-d float array; InvalidConfig unless they form at most
+    one dimension and every one is finite and lies in [0, 1], the span of
+    the design."""
     pts = np.atleast_1d(np.asarray(points, dtype=float))
+    if pts.ndim != 1:
+        raise InvalidConfig(f"estimation points must be finite numbers in one dimension, "
+                            f"got shape {pts.shape}")
     # NaN fails both comparisons
     bad = pts[~((pts >= 0.0) & (pts <= 1.0))]
     if bad.size:
@@ -159,13 +163,12 @@ def estimate_at(sample: Sample, x: float, h: float, degree: int) -> float:
 def estimate_windows(samples, xs, starts, meff: int, h: float, degree: int):
     """Envelope estimates at sites whose windows all hold meff points.
 
-    Site i is the point xs[i] of the Sample samples[i], or of samples itself
-    when it is one Sample; all share one n.  Its window starts at the
-    zero-based design index starts[i]; the caller has it from
-    window_bounds, with meff >= degree + 2.  _window_lps stacks their LPs,
-    which are solved in lockstep batches of lp.batch_size.  Returns
-    (values, iterations, solved).  Where solved, values[i] is
-    estimate_at(sample, xs[i], h, degree) bit for bit and iterations[i]
+    Site i is the point xs[i] of the Sample samples[i]; all share one n.
+    Its window starts at the zero-based design index starts[i]; the caller
+    has it from window_bounds, with meff >= degree + 2.  _window_lps stacks
+    their LPs, which are solved in lockstep batches of lp.batch_size.
+    Returns (values, iterations, solved).  Where solved, values[i] is
+    estimate_at(samples[i], xs[i], h, degree) bit for bit and iterations[i]
     counts its LP's pivots; elsewhere values[i] is NaN, and estimate_at
     gives the value or raises NumericalBreakdown.
     """
@@ -178,8 +181,7 @@ def estimate_windows(samples, xs, starts, meff: int, h: float, degree: int):
     for lo in range(0, xs.size, step):
         at = slice(lo, lo + step)
         fits, powers, objective, rhs, shift = _window_lps(
-            samples if isinstance(samples, Sample) else samples[at], xs[at], starts[at],
-            meff, h, degree)
+            samples[at], xs[at], starts[at], meff, h, degree)
         b, iterations[at], solved[at] = solve_lp_batch(np.swapaxes(powers, -1, -2), rhs, objective)
         solved[at] &= fits
         values[at] = np.where(fits, b[:, 0] + shift[:, 0], np.nan)
@@ -192,8 +194,8 @@ def _window_lps(samples, xs, starts, meff, h, degree):
 
     xs and starts are a float and an int for one window of the Sample
     samples, whose responses stay a view of it, or 1-D arrays for a stack
-    of windows, one per row, of samples[i] (or of samples itself when it is
-    one Sample).  Returns (fits, powers, objective, rhs, shift): powers has
+    of windows, one per row, where row i is the window of the Sample
+    samples[i].  Returns (fits, powers, objective, rhs, shift): powers has
     shape (..., degree + 1, meff), the constraint matrix transposed, and
     rhs holds the responses less their maximum, shift.  A stack whose
     windows all sit at one point, as replicates do, gets that point's
@@ -202,11 +204,8 @@ def _window_lps(samples, xs, starts, meff, h, degree):
     marks the window False and its rhs holds zeros.
     """
     if isinstance(starts, np.ndarray):
-        if isinstance(samples, Sample):
-            n, yw = samples.n, samples.ys[starts[:, None] + np.arange(meff)]
-        else:
-            n = samples[0].n
-            yw = np.array([s.ys[a : a + meff] for s, a in zip(samples, starts.tolist())])
+        n = samples[0].n
+        yw = np.array([s.ys[a : a + meff] for s, a in zip(samples, starts.tolist())])
         shift = yw.max(axis=1, keepdims=True)
         fits = np.array([not spread_overflows(top, bottom)
                          for top, bottom in zip(shift[:, 0].tolist(), yw.min(axis=1).tolist())])

@@ -8,12 +8,13 @@ so parallel fan-out reproduces the serial results exactly.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adapt import EstimatorConfig, adaptive_estimate, check_n, check_seed
+from .adapt import EstimatorConfig, adaptive_estimate, check_count, check_seed
 from .errors import (
     DegenerateInput,
     DomainError,
@@ -25,8 +26,8 @@ from .errors import (
 from .local_poly import Sample
 
 ERROR_KINDS = ("negexp", "neggamma", "refgamma", "neguniform", "negweibull", "zero")
-# cap on the responses of one chunk of point-target replicates: 1 MiB holds
-# 81 samples at n = 1600, 20 at n = 6400 and 3 at n = 40,000
+# cap on the responses of one chunk of replicates, which a point target holds
+# at once: 1 MiB holds 81 samples at n = 1600, 20 at n = 6400 and 3 at n = 40,000
 MC_CHUNK_BYTES = 1 << 20
 
 
@@ -141,7 +142,7 @@ def gen_sample(f, em: ErrorModel, n: int, seed) -> Sample:
     seed may be an int >= 0 or a tuple of them (e.g. (master_seed,
     replicate)).  An error model that draws a non-finite error, such as
     negexp at a subnormal rate, raises InvalidConfig."""
-    check_n(n)
+    check_count("n", n, 2)
     xs = np.arange(1, n + 1, dtype=float) / n
     rng = _rng_for(seed)
     errors = draw_errors(em, xs, rng)
@@ -154,7 +155,8 @@ def _chunk_losses(args):
     """The losses of one chunk of Monte Carlo replicates, in order; None
     marks a dropped replicate.  A point target fits the chunk's samples in
     one adaptive_estimate call, which gives each the value it gets alone:
-    a NaN drops its replicate, and a failed call drops them all."""
+    a NaN drops its replicate, and a failed call drops them all.  An L_q
+    target fits them one at a time, so each one drops alone."""
     f, em, cfg, n, target, master_seed, reps = args
     seeds = [(master_seed, r) for r in reps]
     if target[0] == "lq":
@@ -196,10 +198,12 @@ def _lq_loss(f, em, cfg, n, q, seed):
 
 def check_target(target):
     """Raise InvalidConfig unless target is ("point", x0) with x0 in (0, 1]
-    or ("lq", q) with q finite and >= 1."""
+    or ("lq", q) with q finite and >= 1, x0 and q real numbers, never a bool."""
     if not (isinstance(target, tuple) and len(target) == 2 and target[0] in ("point", "lq")):
         raise InvalidConfig('target must be ("point", x0) or ("lq", q)')
     kind, value = target
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidConfig(f"target value must be a real number, got {value!r}")
     if kind == "point" and not 0.0 < value <= 1.0:
         raise InvalidConfig(f"target point must lie in (0, 1], got {value!r}")
     if kind == "lq" and not 1.0 <= value < math.inf:
@@ -213,23 +217,22 @@ def mc_risk(f, em: ErrorModel, cfg: EstimatorConfig, n: int, reps: int, target, 
     target = ("lq", q) gives the empirical q-th power loss averaged over the
     design.  Failed replicates are dropped, not imputed; more than 5%
     failures raises PipelineError, and a loss that overflows a float (a
-    large q, or errors near 1e300) raises DegenerateInput.  master_seed is
-    an integer >= 0; the pool holds at most min(threads, reps, CPUs)
-    workers.  Returns (risk, stderr).
+    large q, or errors near 1e300) raises DegenerateInput.  reps is an
+    integer >= 2, threads an integer >= 1 and master_seed an integer >= 0.
+    Either target cuts the replicates into one chunk per worker, or into
+    smaller chunks where a chunk's responses would pass MC_CHUNK_BYTES; the
+    pool holds at most min(threads, reps, CPUs) workers.  Returns (risk,
+    stderr).
     """
-    if reps < 2:
-        raise InvalidConfig("reps must be >= 2")
+    check_count("reps", reps, 2)
+    check_count("threads", threads, 1)
     check_target(target)
     check_seed(master_seed)
-    check_n(n)
+    check_count("n", n, 2)
     # the pool starts all its workers at once: never more than replicates or CPUs
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(int(threads), reps, cpus or 1)
-    if target[0] == "point":
-        # one chunk per worker, its samples within MC_CHUNK_BYTES
-        size = min(max(1, MC_CHUNK_BYTES // (8 * n)), -(-reps // workers))
-    else:
-        size = 1
+    workers = min(threads, reps, cpus or 1)
+    size = min(max(1, MC_CHUNK_BYTES // (8 * n)), -(-reps // workers))
     tasks = [(f, em, cfg, n, target, master_seed, range(lo, min(lo + size, reps)))
              for lo in range(0, reps, size)]
     if workers > 1:

@@ -295,7 +295,8 @@ def test_non_finite_point_is_invalid_config(cfg):
     # a point outside the design's span [0, 1] is rejected like a non-finite one
     for where in (dict(x=math.nan), dict(x=math.inf), dict(grid=[0.5, math.inf]),
                   dict(grid=[math.nan]), dict(x=5.0), dict(x=-1.0),
-                  dict(grid=[0.5, 1.0 + 1e-9]), dict(grid=[-1e-12, 0.5])):
+                  dict(grid=[0.5, 1.0 + 1e-9]), dict(grid=[-1e-12, 0.5]),
+                  dict(grid=[[0.1, 0.2]])):
         with pytest.raises(InvalidConfig, match="finite"):
             adaptive_estimate(sample, cfg, **where)
     grid = build_grid(sample.n, cfg.h0_exponent, cfg.rho)

@@ -347,7 +347,7 @@ def test_batched_lps_are_the_scalar_lps(monkeypatch, degree):
     meff = int(bounds[0, 1] - bounds[0, 0])
     assert (bounds[:, 1] - bounds[:, 0] == meff).all()
     fits, powers, objective, rhs, shift = local_poly._window_lps(
-        sample, xs, bounds[:, 0], meff, h, degree)
+        [sample] * xs.size, xs, bounds[:, 0], meff, h, degree)
     assert fits.all() and powers.shape == (xs.size, degree + 1, meff)
     for i, x in enumerate(xs):
         lps.clear()

@@ -162,8 +162,9 @@ def test_mc_risk_noiseless_is_zero():
 @pytest.mark.parametrize("target", [("point", 0.5), ("lq", 1.0)])
 def test_mc_risk_parallel_matches_serial_bitwise(target):
     # the point target also at 32 replicates of n = 400, where each of 2
-    # pool workers fits a chunk of 16 in lockstep and the serial run one of 32
-    for n, reps in [(60, 5)] + [(400, 32)] * (target[0] == "point"):
+    # pool workers fits a chunk of 16 in lockstep and the serial run one of 32;
+    # the L_q target at 8 of n = 200, a chunk of 4 for each worker
+    for n, reps in [(60, 5)] + ([(400, 32)] if target[0] == "point" else [(200, 8)]):
         args = (builtin_f("f2"), ErrorModel("negexp"), EstimatorConfig(), n, reps, target)
         serial = mc_risk(*args, master_seed=3)
         assert serial[0] > 0.0
@@ -333,9 +334,15 @@ def test_mc_risk_validation():
     with pytest.raises(InvalidConfig):
         mc_risk(f, em, cfg, 60, 5, "point", master_seed=0)
     for target in (("point", float("nan")), ("point", 0.0), ("point", 2.0), ("lq", 0.5),
-                   ("lq", math.inf), ("lq", math.nan)):
+                   ("lq", math.inf), ("lq", math.nan), ("point", True), ("lq", True)):
         with pytest.raises(InvalidConfig):
             mc_risk(f, em, cfg, 60, 5, target, master_seed=0)
+    # a count that is not an integer (a bool included) or too small; threads
+    # below 1 once divided the chunk size by zero or dropped every replicate
+    for reps, threads in ((2.5, 1), (3.0, 1), (True, 1), (5, 0), (5, -1), (5, 1.0), (5, True)):
+        for target in (("point", 0.5), ("lq", 1.0)):
+            with pytest.raises(InvalidConfig):
+                mc_risk(f, em, cfg, 60, reps, target, master_seed=0, threads=threads)
 
 
 def test_mc_risk_does_not_drop_config_errors(monkeypatch):
