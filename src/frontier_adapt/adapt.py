@@ -386,16 +386,19 @@ def _site_trace(K):
                 zeta_truncated=np.zeros(K + 1), zeta_at_k_hat=np.nan, window_sizes=np.zeros(K + 1, int))
 
 
-def _select_site(sample, cfg, grid, x_tail, estimates, counters):
-    """One selection site: tail parameters at x_tail, critical values for
-    cfg.q and the Lepski index over estimates, one entry per k = 0..K (a
-    pointwise site's column, or the L_q rows, which it reads only up to
-    min(k_hat + 1, K)).  Returns the site's per-site Diagnostics fields.
+def _window_sizes(n, x, bandwidths):
+    return np.diff([window_bounds(n, x, h) for h in bandwidths])[:, 0]
+
+
+def _select_site(te, cfg, grid, estimates, window_sizes, counters):
+    """One selection site: critical values for cfg.q from the site's tail
+    estimate te (None where its tail estimation was degenerate) and the
+    Lepski index over estimates, one entry per k = 0..K (a pointwise site's
+    column, or the L_q rows, which it reads only up to min(k_hat + 1, K)).
+    Returns the site's per-site Diagnostics fields.
     """
     trace = _site_trace(grid.K)
-    try:
-        te = estimate_tail_at(sample, x_tail, grid, cfg.m_exponent, counters)
-    except DegenerateWindow:
+    if te is None:
         _bump(counters, "tail_degenerate_points")
         cvs = _critical_values(grid, lambda k: 1.0, cfg.q)  # fully truncated
     else:
@@ -404,11 +407,21 @@ def _select_site(sample, cfg, grid, x_tail, estimates, counters):
                else critical_values_lq(grid, te, cfg.q, cfg))
 
     k_hat = lepski_select(estimates, cvs, q=cfg.q)
-    bandwidths = grid.bandwidths[: grid.K + 1]
     trace.update(k_hat=k_hat, zeta_raw=cvs.raw, zeta_truncated=cvs.truncated,
-                 zeta_at_k_hat=cvs.truncated[k_hat],
-                 window_sizes=np.diff([window_bounds(sample.n, x_tail, h) for h in bandwidths])[:, 0])
+                 zeta_at_k_hat=cvs.truncated[k_hat], window_sizes=window_sizes)
     return trace
+
+
+def _tails_at(sample, x, grid, cfg, counters):
+    """Per sample of sample (one Sample or a stack) its tail estimate at x,
+    None where degenerate, from one estimate_tail_at call; counters holds
+    one dict per sample."""
+    if not isinstance(sample, Sample):
+        return estimate_tail_at(sample, x, grid, cfg.m_exponent, counters)
+    try:
+        return [estimate_tail_at(sample, x, grid, cfg.m_exponent, counters[0])]
+    except DegenerateWindow:
+        return [None]
 
 
 def adaptive_estimate(sample, cfg: EstimatorConfig, x=None, grid=None):
@@ -424,7 +437,8 @@ def adaptive_estimate(sample, cfg: EstimatorConfig, x=None, grid=None):
     such as Monte Carlo replicates: each (sample, point) pair is a site,
     sample-major, so site r * P + p is sample r at point p of P, and every
     value and per-site Diagnostics field is the one that sample alone gives.
-    Counters are summed over the sites.
+    The samples at one point share one estimate_tail_at call.  Counters are
+    summed over the sites.
 
     Returns (values, Diagnostics); values is a float for one Sample at x,
     else one per site.  Failed points are NaN, never fatal.
@@ -454,9 +468,18 @@ def adaptive_estimate(sample, cfg: EstimatorConfig, x=None, grid=None):
         # counts an lp_failure from a fit above k_hat + 1, so pointwise rows
         # stay eager until that reference is regenerated
         rows = np.array(list(EnvelopeRows(per_site, sites, bandwidths, cfg.beta_star, counters)))
+        # one tail pass and one window-size pass per point for all its
+        # samples; each site's tail counters join the total in site order
+        tails, tail_counters = [None] * sites.size, [{} for _ in sites]
+        for p, xp in enumerate(pts):
+            tails[p :: pts.size] = _tails_at(samples if stack else sample, xp, bgrid, cfg,
+                                             tail_counters[p :: pts.size])
+        sizes = [_window_sizes(samples[0].n, xp, bandwidths) for xp in pts]
         values, traces = [], []
-        for i, (xp, column) in enumerate(zip(sites, rows.T)):
-            traces.append(_select_site(samples[i // pts.size], cfg, bgrid, xp, column, counters))
+        for i, column in enumerate(rows.T):
+            for key, by in tail_counters[i].items():
+                _bump(counters, key, by)
+            traces.append(_select_site(tails[i], cfg, bgrid, column, sizes[i % pts.size], counters))
             k_hat = traces[-1]["k_hat"]
             if np.isnan(column[k_hat]):
                 # nearest fit that succeeded at a smaller bandwidth, if any
@@ -469,7 +492,9 @@ def adaptive_estimate(sample, cfg: EstimatorConfig, x=None, grid=None):
         sites = pts
         xs = sample.xs()
         rows = EnvelopeRows(sample, xs, bandwidths, cfg.beta_star, counters)
-        traces = [_select_site(sample, cfg, bgrid, 0.5, rows, counters)]
+        tail = _tails_at(sample, 0.5, bgrid, cfg, [counters])[0]
+        traces = [_select_site(tail, cfg, bgrid, rows, _window_sizes(sample.n, 0.5, bandwidths),
+                               counters)]
         k_hat = traces[0]["k_hat"]
         values = rows[k_hat]  # fits row k_hat, and counts it, when the selection read none (K = 0)
         if not (x is None and pts.size == sample.n and np.allclose(pts, xs, rtol=0.0, atol=1e-12)):

@@ -7,6 +7,10 @@ Hill estimator for 1/alpha that is invariant to adding a constant to the
 responses, and a companion estimator for b.  Per-bandwidth estimates are
 stabilized by nested comparison selectors that stop as soon as successive
 estimates drift more than a shrinking threshold apart.
+
+The estimators work row-wise on a stack of windows, one row per sample, so
+the Monte Carlo replicates at one point share each sort and sum; a single
+window is a stack of one.
 """
 
 from __future__ import annotations
@@ -53,27 +57,66 @@ def _bump(counters, key, by=1):
         counters[key] = counters.get(key, 0) + by
 
 
-def _order_desc(window_ys, counters=None):
-    """Descending order statistics with deterministic tie breaking.
+def _fail(why, rows, message):
+    """Give message to each row of the mask rows that has no reason yet."""
+    for r in np.asarray(rows).nonzero()[0]:
+        if why[r] is None:
+            why[r] = message
 
-    Tied values are pushed apart by a jitter of _TIE_JITTER * range * rank so
-    downstream log-gap formulas stay finite; the number of tied pairs is
-    counted.  Raises DegenerateWindow when all values tie or the jitter overflows.
+
+def _raise_first(why):
+    """The one-row case: raise row 0's reason, if it has one."""
+    if why[0] is not None:
+        raise DegenerateWindow(why[0])
+
+
+def _order_one(window_ys, m, counters):
+    """_order_rows on a copy of one window; returns (top row, window size)
+    or raises the window's DegenerateWindow."""
+    w = np.array(window_ys, dtype=float, ndmin=2)
+    top, why = _order_rows(w, m, [counters])
+    _raise_first(why)
+    return top, w.shape[1]
+
+
+def _check_m(m, size):
+    if not 3 <= m <= size:
+        raise InvalidConfig(f"m={m} outside [3, {size}]")
+
+
+def _order_rows(stack, m, counters):
+    """The top m descending order statistics of each row of the (R, size)
+    stack, with deterministic tie breaking; stack is sorted in place.
+
+    A row's tied values are pushed apart by a jitter of _TIE_JITTER * range *
+    rank so downstream log-gap formulas stay finite, and its tied pairs are
+    counted.  Returns (top, why): top is a fresh (R, min(m, size)) array, and
+    why[r] says why row r is degenerate (all its values tie, or the jitter
+    overflows), else None.
     """
-    w = np.sort(np.asarray(window_ys, dtype=float))[::-1]
-    if w.size == 0:
-        raise DegenerateWindow("empty window")
-    ties = int(np.count_nonzero(w[1:] == w[:-1]))  # np.diff can overflow
-    if ties:
-        with np.errstate(over="ignore", invalid="ignore"):
-            rng = w[0] - w[-1]
-            w = w - (_TIE_JITTER * rng) * np.arange(w.size)
-        if rng <= 0.0:
-            raise DegenerateWindow("all window values identical")
-        if not math.isfinite(w[-1]):  # the lowest value, with the largest jitter
-            raise DegenerateWindow("the window's range or tie jitter overflows")
-        _bump(counters, "ties_jittered", ties)
-    return w
+    R, size = stack.shape
+    if size == 0:
+        return stack, ["empty window"] * R
+    stack.sort(axis=1)
+    top = stack[:, ::-1][:, : max(m, 0)].copy()
+    why = [None] * R
+    tied = stack[:, 1:] == stack[:, :-1]  # np.diff can overflow
+    if np.count_nonzero(tied):
+        # per row: tied rows are rare outside constant stretches of data
+        for r, ties in enumerate(map(np.count_nonzero, tied)):
+            if not ties:
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                rng = stack[r, -1] - stack[r, 0]
+                top[r] -= (_TIE_JITTER * rng) * np.arange(top.shape[1])
+                lowest = stack[r, 0] - (_TIE_JITTER * rng) * (size - 1)  # the largest jitter
+            if rng <= 0.0:
+                why[r] = "all window values identical"
+            elif not math.isfinite(lowest):
+                why[r] = "the window's range or tie jitter overflows"
+            else:
+                _bump(counters[r], "ties_jittered", int(ties))
+    return top, why
 
 
 def neg_hill_inv_alpha(window_ys, m: int, counters=None) -> float:
@@ -84,29 +127,37 @@ def neg_hill_inv_alpha(window_ys, m: int, counters=None) -> float:
         1/alpha = (1/m) * sum_{i=2}^{m-1} log(|Y_(m) - Y_(1)| / |Y_(i) - Y_(1)|).
 
     Exactly invariant to adding a constant to, or rescaling, the window.
+    The one-row case of _neg_hill_rows.
     """
-    return _neg_hill_ordered(_order_desc(window_ys, counters), m)
+    top, size = _order_one(window_ys, m, counters)
+    _check_m(m, size)
+    inv_alpha, why = _neg_hill_rows(top)
+    _raise_first(why)
+    return float(inv_alpha[0])
 
 
-def _neg_hill_ordered(w, m: int) -> float:
-    """neg_hill_inv_alpha on a window that _order_desc has ordered."""
-    if not 3 <= m <= w.size:
-        raise InvalidConfig(f"m={m} outside [3, {w.size}]")
-    top = w[0]
-    if spread_overflows(top, w[m - 1]):
-        raise DegenerateWindow("span of the top order statistics overflows")
-    span = top - w[m - 1]
-    gaps = top - w[1 : m - 1]
-    if span <= 0.0 or np.any(gaps <= 0.0):
-        raise DegenerateWindow("zero gap between top order statistics")
-    with np.errstate(over="ignore"):  # a gap far below the span overflows span / gaps
-        inv_alpha = float(np.sum(np.log(span / gaps)) / m)
-    if not math.isfinite(inv_alpha):
-        raise DegenerateWindow("non-finite 1/alpha estimate")
-    if inv_alpha <= 0.0:
+def _neg_hill_rows(top):
+    """neg_hill_inv_alpha of each row of top, the (R, m) order statistics
+    that _order_rows gives; returns (1/alpha per row, why as in _order_rows)."""
+    m = top.shape[1]
+    first, last = top[:, 0], top[:, m - 1]
+    gaps = first[:, None] - top[:, 1 : m - 1]
+    # rows that fail a check below may overflow or divide by zero on the way
+    with np.errstate(all="ignore"):
+        span = first - last
+        inv_alpha = np.sum(np.log(span[:, None] / gaps), axis=1) / m
+    why = [None] * top.shape[0]
+    overflows = [spread_overflows(a, b) for a, b in zip(first.tolist(), last.tolist())]
+    # a zero gap gives an infinite or NaN 1/alpha, so a row with a finite,
+    # positive one and no overflowing span passes every check
+    if any(overflows) or not ((inv_alpha > 0.0) & (inv_alpha < math.inf)).all():
+        _fail(why, overflows, "span of the top order statistics overflows")
+        _fail(why, (span <= 0.0) | np.any(gaps <= 0.0, axis=1),
+              "zero gap between top order statistics")
+        _fail(why, ~np.isfinite(inv_alpha), "non-finite 1/alpha estimate")
         # Y_(2..m) tie: the jitter vanished in rounding next to a large level
-        raise DegenerateWindow("tied order statistics below the maximum")
-    return inv_alpha
+        _fail(why, inv_alpha <= 0.0, "tied order statistics below the maximum")
+    return inv_alpha, why
 
 
 def estimate_b(window_ys, m: int, inv_alpha: float, n_bar: int | None = None,
@@ -118,33 +169,41 @@ def estimate_b(window_ys, m: int, inv_alpha: float, n_bar: int | None = None,
 
     with magnitudes inside the log (the numerator and denominator carry
     opposite signs in the raw display).  nbar defaults to the window size.
+    The one-row case of _estimate_b_rows.
     """
-    return _estimate_b_ordered(_order_desc(window_ys, counters), m, inv_alpha, n_bar)
-
-
-def _estimate_b_ordered(w, m: int, inv_alpha: float, n_bar: int | None = None) -> float:
-    """estimate_b on a window that _order_desc has ordered."""
+    top, size = _order_one(window_ys, m, counters)
     if n_bar is None:
-        n_bar = w.size
+        n_bar = size
     if n_bar < 3:
         raise InvalidConfig("n_bar must be >= 3 for loglog scaling")
-    if not 3 <= m <= w.size:
-        raise InvalidConfig(f"m={m} outside [3, {w.size}]")
+    _check_m(m, size)
     if inv_alpha <= 0.0:
         raise InvalidConfig("inv_alpha must be positive")
-    top = w[0]
+    b_hat, why = _estimate_b_rows(top, np.array([inv_alpha], dtype=float), n_bar)
+    _raise_first(why)
+    return float(b_hat[0])
+
+
+def _estimate_b_rows(top, inv_alpha, n_bar: int):
+    """estimate_b of each row of top, the (R, m) order statistics that
+    _order_rows gives, with 1/alpha inv_alpha[r] > 0 (or NaN, for a row
+    that is not read); returns (b per row, why as in _order_rows)."""
+    m = top.shape[1]
     i = np.arange(2, m)
-    num = top - w[i - 1]
-    if np.any(num <= 0.0):
-        raise DegenerateWindow("zero gap between top order statistics")
-    den = (n_bar / i) ** (-inv_alpha) - float(n_bar) ** (-inv_alpha)
+    num = top[:, :1] - top[:, 1 : m - 1]
+    # per row, as one row computes it: numpy's power takes a shortcut for a
+    # scalar exponent of -1 that a row of a broadcast exponent does not
+    den = np.full(num.shape, np.nan)
+    for r in np.isfinite(inv_alpha).nonzero()[0]:
+        den[r] = (n_bar / i) ** (-inv_alpha[r]) - float(n_bar) ** (-inv_alpha[r])
     # for a large inv_alpha both powers can underflow, so num / den may be
     # inf; such a window is degenerate
-    with np.errstate(divide="ignore", over="ignore"):
-        b_hat = float(np.sum(np.log(num / den)) / (m * math.log(math.log(n_bar))))
-    if not math.isfinite(b_hat):
-        raise DegenerateWindow("non-finite b estimate")
-    return b_hat
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        b_hat = np.sum(np.log(num / den), axis=1) / (m * math.log(math.log(n_bar)))
+    why = [None] * top.shape[0]
+    _fail(why, np.any(num <= 0.0, axis=1), "zero gap between top order statistics")
+    _fail(why, ~np.isfinite(b_hat), "non-finite b estimate")
+    return b_hat, why
 
 
 def tail_m(n_bar: int, m_exponent: float) -> int:
@@ -156,27 +215,53 @@ def per_k_inv_alphas(sample: Sample, x: float, grid, m_exponent: float,
                      counters=None):
     """Per-bandwidth (1/alpha, m, ordered window) for k = 0..K.
 
-    Each window of at least 3 points is ordered once by _order_desc, so its
-    tied pairs count once in ties_jittered; the b estimator reads the same
-    ordered window.  1/alpha is NaN where degenerate, and the window is None
-    where it could not be ordered or was too small.
+    The one-row case of _per_k_rows.  1/alpha is NaN where degenerate; the
+    ordered window holds the top m order statistics, and is None where the
+    window could not be ordered or was too small.
     """
-    K = grid.K
-    invs = np.full(K + 1, np.nan)
+    invs, ms, _, tops, ordered = _per_k_rows([sample.ys], x, grid, m_exponent, [counters])
+    return invs[0], ms, [None if t is None or not ordered[0, k] else t[0]
+                         for k, t in enumerate(tops)]
+
+
+def _per_k_rows(ys, x: float, grid, m_exponent: float, counters):
+    """per_k_inv_alphas for R samples of one n at once: ys holds their
+    responses, counters one dict (or None) per sample.
+
+    Each window of at least 3 points is sorted once, as one (R, size) stack,
+    so a row's tied pairs count once in ties_jittered, and only its top m
+    order statistics are kept for the b estimator.  Returns (invs (R, K+1),
+    ms, sizes, tops, ordered): the window sizes, the top order statistics
+    per k ((R, m_k), or None where the window is too small) and which rows
+    of them were ordered.
+    """
+    R, n, K = len(ys), ys[0].size, grid.K
+    invs = np.full((R, K + 1), np.nan)
     ms = np.zeros(K + 1, dtype=int)
-    ordered = [None] * (K + 1)
+    sizes = np.zeros(K + 1, dtype=int)
+    tops = [None] * (K + 1)
+    ordered = np.zeros((R, K + 1), dtype=bool)
     for k in range(K + 1):
-        start, stop = window_bounds(sample.n, x, grid.bandwidths[k])
+        start, stop = window_bounds(n, x, grid.bandwidths[k])
+        sizes[k] = stop - start
         if stop - start < 3:
-            _bump(counters, "tail_k_skipped")
+            for c in counters:
+                _bump(c, "tail_k_skipped")
             continue
         ms[k] = tail_m(stop - start, m_exponent)
-        try:
-            ordered[k] = _order_desc(sample.ys[start:stop], counters)
-            invs[k] = _neg_hill_ordered(ordered[k], ms[k])
-        except DegenerateWindow:
-            _bump(counters, "tail_k_skipped")
-    return invs, ms, ordered
+        stack = np.empty((R, stop - start))
+        for r, y in enumerate(ys):
+            stack[r] = y[start:stop]
+        tops[k], why = _order_rows(stack, int(ms[k]), counters)
+        del stack
+        inv_alpha, hill_why = _neg_hill_rows(tops[k])
+        for r, (order_fails, hill_fails) in enumerate(zip(why, hill_why)):
+            ordered[r, k] = order_fails is None
+            if order_fails is None and hill_fails is None:
+                invs[r, k] = inv_alpha[r]
+            else:
+                _bump(counters[r], "tail_k_skipped")
+    return invs, ms, sizes, tops, ordered
 
 
 def first_drift(K: int, distance, threshold) -> int:
@@ -215,39 +300,75 @@ def _nested_select(values, K, rho, scale, what, counters=None):
     return int(k), float(value)
 
 
-def estimate_tail_at(sample: Sample, x: float, grid, m_exponent: float,
-                     counters=None) -> TailEstimate:
+def estimate_tail_at(sample, x: float, grid, m_exponent: float, counters=None):
     """Full tail-parameter estimation at a point over the bandwidth grid.
 
     k_alpha is the nested selection over the per-k 1/alpha estimates with
     threshold rho^(-k) / log(n); k_b selects over k = 0..k_alpha among the b
     estimates built from the matching window and 1/alpha, with threshold
     rho^(-k) / loglog(n).
+
+    sample is one Sample, which gives its TailEstimate or raises
+    DegenerateWindow, or a sequence of R Samples of one n, such as Monte
+    Carlo replicates, with counters None or one dict (or None) per sample.
+    Then each window is sorted once for all R, the estimators run row-wise,
+    and the result lists per sample its TailEstimate, or None where that
+    sample alone raises; every value and counter is the one that sample
+    alone gives.  The selectors run per row: they stop after a few
+    comparisons, which vectorising across rows does not beat.
     """
     check_points(x)
-    invs, ms, ordered = per_k_inv_alphas(sample, x, grid, m_exponent, counters)
-    k_alpha, inv_alpha = _nested_select(invs, grid.K, grid.rho, math.log(grid.n),
-                                        "tail estimation", counters)
-    bs = np.full(k_alpha + 1, np.nan)
-    for k in range(k_alpha + 1):
-        if np.isnan(invs[k]):
-            continue
+    one = isinstance(sample, Sample)
+    samples = [sample] if one else list(sample)
+    if not (samples and all(isinstance(s, Sample) and s.n == samples[0].n for s in samples)):
+        raise InvalidConfig("a sequence of samples needs one or more Samples of one n")
+    R = len(samples)
+    counters = [counters] if one else [None] * R if counters is None else list(counters)
+    invs, ms, sizes, tops, _ = _per_k_rows([s.ys for s in samples], x, grid, m_exponent,
+                                           counters)
+    k_alpha = np.full(R, -1)  # -1: no usable window, and no b estimate read
+    inv_alpha = np.full(R, np.nan)
+    why = [None] * R
+    for r in range(R):
         try:
-            bs[k] = _estimate_b_ordered(ordered[k], ms[k], invs[k], ordered[k].size)
-        except DegenerateWindow:
-            _bump(counters, "tail_k_skipped")
-    k_b, b_hat = _nested_select(bs, k_alpha, grid.rho, math.log(math.log(grid.n)),
-                                "the b estimator", counters)
-    if inv_alpha > INV_ALPHA_CAP:
-        _bump(counters, "inv_alpha_capped")
-        inv_alpha = INV_ALPHA_CAP
-    return TailEstimate(
-        inv_alpha=float(inv_alpha),
-        b_hat=float(b_hat),
-        k_alpha=k_alpha,
-        k_b=k_b,
-        m_used=int(ms[k_alpha]),
-    )
+            k_alpha[r], inv_alpha[r] = _nested_select(invs[r], grid.K, grid.rho, math.log(grid.n),
+                                                      "tail estimation", counters[r])
+        except DegenerateWindow as exc:
+            why[r] = str(exc)
+    bs = np.full((R, grid.K + 1), np.nan)
+    for k in range(int(k_alpha.max()) + 1):
+        read = (k <= k_alpha) & ~np.isnan(invs[:, k])
+        if read.any():
+            b_hat, b_why = _estimate_b_rows(tops[k], np.where(read, invs[:, k], np.nan),
+                                            int(sizes[k]))
+            for r in read.nonzero()[0]:
+                if b_why[r] is None:
+                    bs[r, k] = b_hat[r]
+                else:
+                    _bump(counters[r], "tail_k_skipped")
+    del tops
+    tails = [None] * R
+    for r in (k_alpha >= 0).nonzero()[0]:
+        try:
+            k_b, b_hat = _nested_select(bs[r, : k_alpha[r] + 1], k_alpha[r], grid.rho,
+                                        math.log(math.log(grid.n)), "the b estimator", counters[r])
+        except DegenerateWindow as exc:
+            why[r] = str(exc)
+            continue
+        if inv_alpha[r] > INV_ALPHA_CAP:
+            _bump(counters[r], "inv_alpha_capped")
+            inv_alpha[r] = INV_ALPHA_CAP
+        tails[r] = TailEstimate(
+            inv_alpha=float(inv_alpha[r]),
+            b_hat=float(b_hat),
+            k_alpha=int(k_alpha[r]),
+            k_b=int(k_b),
+            m_used=int(ms[k_alpha[r]]),
+        )
+    if one:
+        _raise_first(why)
+        return tails[0]
+    return tails
 
 
 def a_hat(tail, y):

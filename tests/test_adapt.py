@@ -446,6 +446,38 @@ def test_stack_equals_each_sample_alone(monkeypatch, n, kind, beta_star, x0, rep
     assert failures[3] > 0 and not any(np.delete(failures, 3))
 
 
+@pytest.mark.parametrize("n, kind", [(400, "negexp"), (1600, "neggamma")])
+def test_stacked_grid_equals_each_site_alone(monkeypatch, n, kind):
+    # one tail pass per point for every sample: the site fields and counters
+    # of each (sample, point) pair, a constant sample's degenerate tails
+    # included, are those of the pair run alone
+    tails = []
+    stacked = adapt.estimate_tail_at
+
+    def recording(sample, *args):
+        tails.append(sample)
+        return stacked(sample, *args)
+
+    monkeypatch.setattr(adapt, "estimate_tail_at", recording)
+    em = ErrorModel(kind, spatial=alpha_profile) if kind == "neggamma" else ErrorModel(kind)
+    s0, s1 = (gen_sample(builtin_f("f2"), em, n, (11, r)) for r in range(2))
+    samples = [s0, Sample(np.full(n, -1.0)), s1]
+    points = [0.0, 0.31, 0.5, 1.0]
+    cfg = EstimatorConfig()
+    values, diag = adaptive_estimate(samples, cfg, grid=points)
+    assert [[id(s) for s in t] for t in tails] == [[id(s) for s in samples]] * len(points)
+    total = {}
+    for i, (sample, xp) in enumerate((s, p) for s in samples for p in points):
+        value, alone = adaptive_estimate(sample, cfg, x=xp)
+        assert np.float64(value).tobytes() == values[i].tobytes(), i
+        for name in _SITE_FIELDS:
+            assert np.asarray(getattr(diag, name)[i]).tobytes() == getattr(alone, name)[0].tobytes()
+        for key, count in alone.counters.items():
+            total[key] = total.get(key, 0) + count
+    assert diag.counters == total
+    assert (diag.k_alpha[4:8] == -1).all() and total["tail_degenerate_points"] == 4
+
+
 def test_stack_argument_contract():
     sample = gen_sample(builtin_f("const"), ErrorModel("negexp"), 50, seed=2)
     other = gen_sample(builtin_f("const"), ErrorModel("negexp"), 60, seed=2)

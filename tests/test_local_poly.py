@@ -162,6 +162,26 @@ def test_fit_is_feasible_and_objective_dominates_data():
         assert fit.objective_value == pytest.approx(vals.sum(), rel=1e-9, abs=1e-9)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-3, pytest.param(1e-9, marks=pytest.mark.xfail(
+    strict=True, reason="open: phase 2's stop and the certificate are absolute below "
+    "max|r| = 1, so fits of data at scale 1e-9 stop short of the envelope (ROADMAP)"))])
+def test_fits_stay_envelopes_at_small_data_scales(scale):
+    # absdip with NegExp(1) noise at n = 400, degree 2, every bandwidth: each
+    # fit lies above its window's responses within 1e-9 of their magnitude
+    grid = build_grid(400, 0.4, 2.0)
+    worst = 0.0
+    for seed in range(5):
+        sample = Sample(scale * gen_sample(builtin_f("absdip"), ErrorModel("negexp"), 400, seed).ys)
+        for x0 in (0.0, 0.31, 0.5, 1.0):
+            for h in grid.bandwidths[: grid.K + 1]:
+                start, stop = window_bounds(400, x0, h)
+                yw = sample.ys[start:stop]
+                fit = fit_local(sample, x0, h, 2)
+                above = yw - fit(np.arange(start + 1, stop + 1) / 400)
+                worst = max(worst, float(above.max() / np.abs(yw).max()))
+    assert worst <= 1e-9
+
+
 def test_shift_equivariance():
     rng = np.random.default_rng(5)
     ys = rng.normal(size=60)

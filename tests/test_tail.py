@@ -362,3 +362,85 @@ def test_overflowing_tail_intermediate_is_degenerate(w):
     with pytest.raises(DegenerateWindow, match="overflow|non-finite"):
         neg_hill_inv_alpha(w, 3, counters)
     assert counters == {}
+
+
+def _hostile_rows(n):
+    """Samples whose tails at x = 1/2 take every per-row branch: tied values,
+    all-identical windows (alone and in small windows), 1e308 beside -1e308
+    in every window from k = 1 on, so the selected 1/alpha is NaN and filled,
+    and a 1/alpha above INV_ALPHA_CAP."""
+    rng = np.random.default_rng(n)
+    grid = _default_grid(n)
+    (a0, b0), (a1, b1) = (window_bounds(n, 0.5, h) for h in grid.bandwidths[:2])
+    ties = np.round(-rng.exponential(size=n), 1)
+    plateau = -rng.exponential(size=n)
+    plateau[a1:b1] = -1.0
+    huge = -rng.exponential(size=n)
+    huge[a1:a0] = huge[b0:b1] = -1e308
+    huge[a1] = 1e308
+    sharp = -rng.uniform(size=n) ** 20
+    rows = [ties, np.full(n, -1.0), plateau, huge, sharp]
+    return [Sample(ys) for ys in rows] + [Sample(-rng.exponential(size=n)) for _ in range(35)]
+
+
+def _assert_stack_equals_each_alone(samples, x, grid):
+    counters = [{} for _ in samples]
+    tails = estimate_tail_at(samples, x, grid, 2.0 / 3.0, counters)
+    assert len(tails) == len(samples)
+    for sample, tail, got in zip(samples, tails, counters):
+        alone = {}
+        try:
+            expected = estimate_tail_at(sample, x, grid, 2.0 / 3.0, alone)
+        except DegenerateWindow:
+            expected = None
+        # repr tells every float bit and the counters' order and types apart
+        assert repr(tail) == repr(expected)
+        assert repr(got) == repr(alone)
+    return tails, counters
+
+
+@pytest.mark.parametrize("R", [1, 40])
+@pytest.mark.parametrize("n", [400, 6400])
+def test_stacked_tail_equals_each_sample_alone(n, R):
+    samples = _hostile_rows(n)
+    wide, thin = _default_grid(n), build_grid(n, 0.05, 2.0)
+    seen = {}
+    for x, grid in ((0.5, wide), (0.31, wide), (0.0, thin)):
+        stacks = [samples] if R == 40 else [[s] for s in samples[:6]]
+        for stack in stacks:
+            tails, counters = _assert_stack_equals_each_alone(stack, x, grid)
+            seen["degenerate"] = seen.get("degenerate", 0) + tails.count(None)
+            for c in counters:
+                for key, count in c.items():
+                    seen[key] = seen.get(key, 0) + count
+    # the rows reach every branch; at x = 0 the thin grid's first windows
+    # hold fewer than 3 points
+    assert {"degenerate", "ties_jittered", "tail_k_skipped", "selected_estimate_missing",
+            "inv_alpha_capped"} <= set(seen)
+    _, counters = _assert_stack_equals_each_alone(samples[5:5 + min(R, 3)], 0.0, thin)
+    assert all(c["tail_k_skipped"] >= 1 for c in counters)
+
+
+def test_stacked_tail_argument_contract():
+    sample = Sample(-np.random.default_rng(0).exponential(size=50))
+    grid = _default_grid(50)
+    for stack in ([], [sample, Sample(np.zeros(60))], [sample, sample.ys]):
+        with pytest.raises(InvalidConfig, match="Samples of one n"):
+            estimate_tail_at(stack, 0.5, grid, 2.0 / 3.0)
+    # a stack lists None where a sample alone raises, and counters may be left out
+    tails = estimate_tail_at([sample, Sample(np.full(50, -2.0))], 0.5, grid, 2.0 / 3.0)
+    assert tails[0] == estimate_tail_at(sample, 0.5, grid, 2.0 / 3.0) and tails[1] is None
+
+
+@pytest.mark.parametrize("width", [3, 8, 9, 127, 128, 129, 6400])
+def test_numpy_row_wise_kernels_equal_each_row_alone(width):
+    # the stacked tail relies on these: over a C-ordered (R, m) array, a
+    # row-wise np.sum, np.log and np.sort give each row's 1-D result bit for
+    # bit, whatever the row count
+    stack = np.exp(np.random.default_rng(width).normal(0.0, 20.0, size=(40, width)))
+    rowwise = (np.sum(stack, axis=1), np.log(stack), np.sort(stack, axis=1))
+    for r, row in enumerate(stack):
+        for got, alone in zip(rowwise, (np.sum(row), np.log(row), np.sort(row))):
+            assert got[r].tobytes() == np.asarray(alone).tobytes(), (r, width)
+    assert np.log(stack[:1]).tobytes() == rowwise[1][:1].tobytes()
+    assert np.sort(stack[:1], axis=1).tobytes() == rowwise[2][:1].tobytes()
