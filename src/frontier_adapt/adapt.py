@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateWindow, DomainError, InvalidConfig, NumericalBreakdown
+from .errors import DomainError, InvalidConfig, NumericalBreakdown
 from .local_poly import Sample, check_points, estimate_at, estimate_windows, window_bounds
 from .lp import lockstep_pays
 from .tail import _bump, a_hat, estimate_tail_at, first_drift
@@ -412,18 +412,6 @@ def _select_site(te, cfg, grid, estimates, window_sizes, counters):
     return trace
 
 
-def _tails_at(sample, x, grid, cfg, counters):
-    """Per sample of sample (one Sample or a stack) its tail estimate at x,
-    None where degenerate, from one estimate_tail_at call; counters holds
-    one dict per sample."""
-    if not isinstance(sample, Sample):
-        return estimate_tail_at(sample, x, grid, cfg.m_exponent, counters)
-    try:
-        return [estimate_tail_at(sample, x, grid, cfg.m_exponent, counters[0])]
-    except DegenerateWindow:
-        return [None]
-
-
 def adaptive_estimate(sample, cfg: EstimatorConfig, x=None, grid=None):
     """Fully data-driven envelope estimate.
 
@@ -472,8 +460,8 @@ def adaptive_estimate(sample, cfg: EstimatorConfig, x=None, grid=None):
         # samples; each site's tail counters join the total in site order
         tails, tail_counters = [None] * sites.size, [{} for _ in sites]
         for p, xp in enumerate(pts):
-            tails[p :: pts.size] = _tails_at(samples if stack else sample, xp, bgrid, cfg,
-                                             tail_counters[p :: pts.size])
+            tails[p :: pts.size] = estimate_tail_at(samples, xp, bgrid, cfg.m_exponent,
+                                                    tail_counters[p :: pts.size])
         sizes = [_window_sizes(samples[0].n, xp, bandwidths) for xp in pts]
         values, traces = [], []
         for i, column in enumerate(rows.T):
@@ -492,7 +480,7 @@ def adaptive_estimate(sample, cfg: EstimatorConfig, x=None, grid=None):
         sites = pts
         xs = sample.xs()
         rows = EnvelopeRows(sample, xs, bandwidths, cfg.beta_star, counters)
-        tail = _tails_at(sample, 0.5, bgrid, cfg, [counters])[0]
+        tail = estimate_tail_at([sample], 0.5, bgrid, cfg.m_exponent, [counters])[0]
         traces = [_select_site(tail, cfg, bgrid, rows, _window_sizes(sample.n, 0.5, bandwidths),
                                counters)]
         k_hat = traces[0]["k_hat"]

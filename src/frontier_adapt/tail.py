@@ -141,9 +141,9 @@ def _neg_hill_rows(top):
     that _order_rows gives; returns (1/alpha per row, why as in _order_rows)."""
     m = top.shape[1]
     first, last = top[:, 0], top[:, m - 1]
-    gaps = first[:, None] - top[:, 1 : m - 1]
     # rows that fail a check below may overflow or divide by zero on the way
     with np.errstate(all="ignore"):
+        gaps = first[:, None] - top[:, 1 : m - 1]
         span = first - last
         inv_alpha = np.sum(np.log(span[:, None] / gaps), axis=1) / m
     why = [None] * top.shape[0]
@@ -190,15 +190,15 @@ def _estimate_b_rows(top, inv_alpha, n_bar: int):
     that is not read); returns (b per row, why as in _order_rows)."""
     m = top.shape[1]
     i = np.arange(2, m)
-    num = top[:, :1] - top[:, 1 : m - 1]
     # per row, as one row computes it: numpy's power takes a shortcut for a
     # scalar exponent of -1 that a row of a broadcast exponent does not
-    den = np.full(num.shape, np.nan)
+    den = np.full((top.shape[0], m - 2), np.nan)
     for r in np.isfinite(inv_alpha).nonzero()[0]:
         den[r] = (n_bar / i) ** (-inv_alpha[r]) - float(n_bar) ** (-inv_alpha[r])
-    # for a large inv_alpha both powers can underflow, so num / den may be
-    # inf; such a window is degenerate
+    # the gaps may overflow; for a large inv_alpha both powers
+    # can underflow, so num / den may be inf; such a window is degenerate
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        num = top[:, :1] - top[:, 1 : m - 1]
         b_hat = np.sum(np.log(num / den), axis=1) / (m * math.log(math.log(n_bar)))
     why = [None] * top.shape[0]
     _fail(why, np.any(num <= 0.0, axis=1), "zero gap between top order statistics")
@@ -324,6 +324,8 @@ def estimate_tail_at(sample, x: float, grid, m_exponent: float, counters=None):
         raise InvalidConfig("a sequence of samples needs one or more Samples of one n")
     R = len(samples)
     counters = [counters] if one else [None] * R if counters is None else list(counters)
+    if len(counters) != R:
+        raise InvalidConfig(f"{len(counters)} counters for {R} samples")
     invs, ms, sizes, tops, _ = _per_k_rows([s.ys for s in samples], x, grid, m_exponent,
                                            counters)
     k_alpha = np.full(R, -1)  # -1: no usable window, and no b estimate read

@@ -351,16 +351,17 @@ def test_non_finite_b_estimate_is_degenerate(n_bar, inv_alpha):
         estimate_b(w, 3, inv_alpha)
 
 
-@pytest.mark.parametrize("w", [
-    [1e308, -1e308, 0.0, 0.0],              # the range of a tied window overflows
-    [1e308, 1e308, -1e308],                 # so does a difference of neighbours
-    [0.0, -1.7976931348623157e308] * 2,     # the tie jitter pushes past -max
-    [1e-300, 0.0, -1e10],                   # span / gaps overflows
-], ids=["range", "neighbours", "jitter", "span-over-gap"])
-def test_overflowing_tail_intermediate_is_degenerate(w):
+@pytest.mark.parametrize("w, m", [
+    ([1e308, -1e308, 0.0, 0.0], 3),              # the range of a tied window overflows
+    ([1e308, 1e308, -1e308], 3),                 # so does a difference of neighbours
+    ([0.0, -1.7976931348623157e308] * 2, 3),     # the tie jitter pushes past -max
+    ([1e-300, 0.0, -1e10], 3),                   # span / gaps overflows
+    ([1e308, 0.0, -1e308, -1.5e308], 4),         # distinct values, but gaps overflow
+], ids=["range", "neighbours", "jitter", "span-over-gap", "gaps"])
+def test_overflowing_tail_intermediate_is_degenerate(w, m):
     counters = {}
     with pytest.raises(DegenerateWindow, match="overflow|non-finite"):
-        neg_hill_inv_alpha(w, 3, counters)
+        neg_hill_inv_alpha(w, m, counters)
     assert counters == {}
 
 
@@ -368,7 +369,8 @@ def _hostile_rows(n):
     """Samples whose tails at x = 1/2 take every per-row branch: tied values,
     all-identical windows (alone and in small windows), 1e308 beside -1e308
     in every window from k = 1 on, so the selected 1/alpha is NaN and filled,
-    and a 1/alpha above INV_ALPHA_CAP."""
+    a 1/alpha above INV_ALPHA_CAP, and 1e308 above distinct values near
+    -1e308, whose gaps overflow in every window without a tie."""
     rng = np.random.default_rng(n)
     grid = _default_grid(n)
     (a0, b0), (a1, b1) = (window_bounds(n, 0.5, h) for h in grid.bandwidths[:2])
@@ -379,8 +381,10 @@ def _hostile_rows(n):
     huge[a1:a0] = huge[b0:b1] = -1e308
     huge[a1] = 1e308
     sharp = -rng.uniform(size=n) ** 20
-    rows = [ties, np.full(n, -1.0), plateau, huge, sharp]
-    return [Sample(ys) for ys in rows] + [Sample(-rng.exponential(size=n)) for _ in range(35)]
+    spread = -1e308 * rng.uniform(0.5, 1.0, size=n)
+    spread[a0] = 1e308
+    rows = [ties, np.full(n, -1.0), plateau, huge, sharp, spread]
+    return [Sample(ys) for ys in rows] + [Sample(-rng.exponential(size=n)) for _ in range(34)]
 
 
 def _assert_stack_equals_each_alone(samples, x, grid):
@@ -427,6 +431,11 @@ def test_stacked_tail_argument_contract():
     for stack in ([], [sample, Sample(np.zeros(60))], [sample, sample.ys]):
         with pytest.raises(InvalidConfig, match="Samples of one n"):
             estimate_tail_at(stack, 0.5, grid, 2.0 / 3.0)
+    # one counter dict per sample, checked before any is bumped
+    for counters in ([{}], [{}, {}, {}]):
+        with pytest.raises(InvalidConfig, match="counters for 2 samples"):
+            estimate_tail_at([sample, sample], 0.5, grid, 2.0 / 3.0, counters)
+        assert counters == [{}] * len(counters)
     # a stack lists None where a sample alone raises, and counters may be left out
     tails = estimate_tail_at([sample, Sample(np.full(50, -2.0))], 0.5, grid, 2.0 / 3.0)
     assert tails[0] == estimate_tail_at(sample, 0.5, grid, 2.0 / 3.0) and tails[1] is None
