@@ -358,10 +358,11 @@ class EnvelopeRows:
 class Diagnostics:
     """Selection trace for one adaptive_estimate call.
 
-    Pointwise mode carries per-site arrays, one entry per point of each
-    sample (k_alpha = -1 and alpha_hat = NaN mark sites whose tail
-    estimation was degenerate); L_q mode carries the single global
-    selection.
+    points holds the point of each value.  The per-selection fields hold one
+    entry per selection: per site in pointwise mode, per sample in L_q mode
+    (k_alpha = -1 and alpha_hat = NaN mark selections whose tail estimation
+    was degenerate).  One Sample in L_q mode has one global selection, whose
+    fields are scalars and per-k vectors.
     """
 
     mode: str
@@ -380,8 +381,8 @@ class Diagnostics:
     warnings: list = field(default_factory=list)
 
 
-def _site_trace(K):
-    """A site's Diagnostics fields before selection: degenerate-tail defaults, zeros elsewhere."""
+def _blank_trace(K):
+    """A selection's Diagnostics fields before it runs: degenerate-tail defaults, else zeros."""
     return dict(k_hat=0, alpha_hat=np.nan, b_hat=np.nan, k_alpha=-1, k_b=-1, zeta_raw=np.zeros(K + 1),
                 zeta_truncated=np.zeros(K + 1), zeta_at_k_hat=np.nan, window_sizes=np.zeros(K + 1, int))
 
@@ -390,14 +391,14 @@ def _window_sizes(n, x, bandwidths):
     return np.diff([window_bounds(n, x, h) for h in bandwidths])[:, 0]
 
 
-def _select_site(te, cfg, grid, estimates, window_sizes, counters):
-    """One selection site: critical values for cfg.q from the site's tail
-    estimate te (None where its tail estimation was degenerate) and the
-    Lepski index over estimates, one entry per k = 0..K (a pointwise site's
-    column, or the L_q rows, which it reads only up to min(k_hat + 1, K)).
-    Returns the site's per-site Diagnostics fields.
+def _select(te, cfg, grid, estimates, window_sizes, counters):
+    """One selection: critical values for cfg.q from its tail estimate te
+    (None where its tail estimation was degenerate) and the Lepski index
+    over estimates, one entry per k = 0..K (a pointwise site's column, or an
+    L_q sample's rows, which it reads only up to min(k_hat + 1, K)).
+    Returns the selection's Diagnostics fields.
     """
-    trace = _site_trace(grid.K)
+    trace = _blank_trace(grid.K)
     if te is None:
         _bump(counters, "tail_degenerate_points")
         cvs = _critical_values(grid, lambda k: 1.0, cfg.q)  # fully truncated
@@ -419,14 +420,16 @@ def adaptive_estimate(sample, cfg: EstimatorConfig, x=None, grid=None):
     With cfg.q = None the bandwidth index is selected pointwise at each
     requested point; with cfg.q >= 1 a single index is selected from the
     empirical L_q distances between per-bandwidth curves over the design
-    points, with tail parameters estimated once at x = 1/2.
+    points, with tail parameters estimated at x = 1/2.
 
-    In pointwise mode sample may also be a sequence of R Samples of one n,
-    such as Monte Carlo replicates: each (sample, point) pair is a site,
-    sample-major, so site r * P + p is sample r at point p of P, and every
-    value and per-site Diagnostics field is the one that sample alone gives.
-    The samples at one point share one estimate_tail_at call.  Counters are
-    summed over the sites.
+    sample may also be a sequence of R Samples of one n, such as Monte Carlo
+    replicates.  Each (sample, point) pair is a site, sample-major, so site
+    r * P + p is sample r at point p of P.  A selection is a site in
+    pointwise mode and a sample in L_q mode, and every value and per-selection
+    Diagnostics field is the one that sample alone gives.  The samples share
+    one estimate_tail_at call per tail point: each requested point in
+    pointwise mode, 1/2 in L_q mode.  Counters are summed over the
+    selections, in selection order.
 
     Returns (values, Diagnostics); values is a float for one Sample at x,
     else one per site.  Failed points are NaN, never fatal.
@@ -435,12 +438,10 @@ def adaptive_estimate(sample, cfg: EstimatorConfig, x=None, grid=None):
         raise InvalidConfig("pass exactly one of x= or grid=")
     stack = not isinstance(sample, Sample)
     samples = list(sample) if stack else [sample]
-    if stack:
-        if cfg.q is not None:
-            raise InvalidConfig("L_q selection takes one Sample, not a sequence")
-        if not (samples and all(isinstance(s, Sample) and s.n == samples[0].n for s in samples)):
-            raise InvalidConfig("a sequence of samples needs one or more Samples of one n")
-    bgrid = build_grid(samples[0].n, cfg.h0_exponent, cfg.rho)
+    if not (samples and all(isinstance(s, Sample) and s.n == samples[0].n for s in samples)):
+        raise InvalidConfig("a sequence of samples needs one or more Samples of one n")
+    n = samples[0].n
+    bgrid = build_grid(n, cfg.h0_exponent, cfg.rho)
     counters: dict = {}
     warn: list = []
     if cfg.h0_exponent >= 0.5:
@@ -449,50 +450,48 @@ def adaptive_estimate(sample, cfg: EstimatorConfig, x=None, grid=None):
         )
     pts = check_points(grid if x is None else [x])
     bandwidths = bgrid.bandwidths[: bgrid.K + 1]
+    sites = np.tile(pts, len(samples))
     if cfg.q is None:
-        sites = np.tile(pts, len(samples))
-        per_site = [s for s in samples for _ in pts]
+        tail_points = pts
         # every row, not only k <= k_hat + 1: the benchmark's seed-0 reference
         # counts an lp_failure from a fit above k_hat + 1, so pointwise rows
         # stay eager until that reference is regenerated
-        rows = np.array(list(EnvelopeRows(per_site, sites, bandwidths, cfg.beta_star, counters)))
-        # one tail pass and one window-size pass per point for all its
-        # samples; each site's tail counters join the total in site order
-        tails, tail_counters = [None] * sites.size, [{} for _ in sites]
-        for p, xp in enumerate(pts):
-            tails[p :: pts.size] = estimate_tail_at(samples, xp, bgrid, cfg.m_exponent,
-                                                    tail_counters[p :: pts.size])
-        sizes = [_window_sizes(samples[0].n, xp, bandwidths) for xp in pts]
-        values, traces = [], []
-        for i, column in enumerate(rows.T):
-            for key, by in tail_counters[i].items():
-                _bump(counters, key, by)
-            traces.append(_select_site(tails[i], cfg, bgrid, column, sizes[i % pts.size], counters))
-            k_hat = traces[-1]["k_hat"]
-            if np.isnan(column[k_hat]):
-                # nearest fit that succeeded at a smaller bandwidth, if any
-                below = np.flatnonzero(np.isfinite(column[:k_hat]))
-                if below.size:
-                    k_hat = below[-1]
-                    _bump(counters, "selected_estimate_missing")
-            values.append(column[k_hat])
+        rows = np.array(list(EnvelopeRows([s for s in samples for _ in pts], sites, bandwidths,
+                                          cfg.beta_star, counters)))
     else:
-        sites = pts
-        xs = sample.xs()
-        rows = EnvelopeRows(sample, xs, bandwidths, cfg.beta_star, counters)
-        tail = estimate_tail_at([sample], 0.5, bgrid, cfg.m_exponent, [counters])[0]
-        traces = [_select_site(tail, cfg, bgrid, rows, _window_sizes(sample.n, 0.5, bandwidths),
-                               counters)]
-        k_hat = traces[0]["k_hat"]
-        values = rows[k_hat]  # fits row k_hat, and counts it, when the selection read none (K = 0)
-        if not (x is None and pts.size == sample.n and np.allclose(pts, xs, rtol=0.0, atol=1e-12)):
-            values = EnvelopeRows(sample, pts, [bandwidths[k_hat]], cfg.beta_star, counters)[0]
+        tail_points, xs = np.array([0.5]), samples[0].xs()
+        on_design = x is None and pts.size == n and np.allclose(pts, xs, rtol=0.0, atol=1e-12)
+    # selection i reads the tail of sample i // T at tail point i % T
+    T = tail_points.size
+    tails, tail_counters = [None] * (T * len(samples)), [{} for _ in range(T * len(samples))]
+    for p, xp in enumerate(tail_points):
+        tails[p::T] = estimate_tail_at(samples, xp, bgrid, cfg.m_exponent, tail_counters[p::T])
+    sizes = [_window_sizes(n, xp, bandwidths) for xp in tail_points]
+    values, traces = [], []
+    for i, te in enumerate(tails):
+        for key, by in tail_counters[i].items():
+            _bump(counters, key, by)
+        # a site reads its column of the eager rows; an L_q sample (T = 1)
+        # its own lazy rows over the design, dropped once its value is taken
+        estimates = (rows[:, i] if cfg.q is None
+                     else EnvelopeRows(samples[i], xs, bandwidths, cfg.beta_star, counters))
+        traces.append(_select(te, cfg, bgrid, estimates, sizes[i % T], counters))
+        k_hat = traces[-1]["k_hat"]
+        # fits an L_q sample's row k_hat, and counts it, when the selection read none (K = 0)
+        value = estimates[k_hat]
+        if cfg.q is not None and not on_design:
+            value = EnvelopeRows(samples[i], pts, [bandwidths[k_hat]], cfg.beta_star, counters)[0]
+        elif cfg.q is None and np.isnan(value) and np.isfinite(estimates[:k_hat]).any():
+            # nearest fit that succeeded at a smaller bandwidth
+            value = estimates[np.flatnonzero(np.isfinite(estimates[:k_hat]))[-1]]
+            _bump(counters, "selected_estimate_missing")
+        values.append(value)
 
-    # stacked in the blank trace's dtypes and per-site shapes, which an empty grid keeps
+    # stacked in the blank trace's dtypes and per-selection shapes, which an empty grid keeps
     trace = {name: np.array([t[name] for t in traces], np.result_type(v)).reshape(-1, *np.shape(v))
-             for name, v in _site_trace(bgrid.K).items()}
-    if cfg.q is not None:
-        # one global selection: scalars and per-k vectors, not per-point arrays
+             for name, v in _blank_trace(bgrid.K).items()}
+    if cfg.q is not None and not stack:
+        # one global selection: scalars and per-k vectors, not per-sample arrays
         trace = {name: v[0].item() if v.ndim == 1 else v[0] for name, v in trace.items()}
     diag = Diagnostics(
         mode="pointwise" if cfg.q is None else "lq",
@@ -502,6 +501,7 @@ def adaptive_estimate(sample, cfg: EstimatorConfig, x=None, grid=None):
         warnings=warn,
         **trace,
     )
+    values = np.array(values, dtype=float).reshape(-1)
     if x is not None and not stack:
         return float(values[0]), diag
-    return np.array(values, dtype=float), diag
+    return values, diag

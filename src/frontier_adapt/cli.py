@@ -298,15 +298,31 @@ def _read_risks_file(path):
     for ln, vals in table:
         if vals[0] < 1 or not vals[0].is_integer():
             raise ParseError(f"{path}: line {ln}: n must be a positive integer, got {vals[0]!r}")
+        if len(vals) == 3 and vals[2] < 0.0:
+            raise ParseError(f"{path}: line {ln}: stderr must be >= 0, got {vals[2]!r}")
     ns = [int(vals[0]) for _, vals in table]
     risks = [vals[1] for _, vals in table]
     errs = [vals[2] if len(vals) == 3 else 0.0 for _, vals in table]
     return ns, risks, errs
 
 
+def _theory_exponent(alpha, beta, power):
+    """-power * beta / (alpha * beta + 1), the paper's rate exponent, when
+    both --alpha and --beta are given (each finite and > 0), else None."""
+    if alpha is None and beta is None:
+        return None
+    if alpha is None or beta is None:
+        raise InvalidConfig("--alpha and --beta go together")
+    for name, value in (("--alpha", alpha), ("--beta", beta)):
+        if not 0.0 < value < math.inf:
+            raise InvalidConfig(f"{name} must be finite and > 0, got {value!r}")
+    return -power * beta / (alpha * beta + 1.0)
+
+
 def cmd_rates(args, cfg):
     check_count("--threads", args.threads, 1)
     target = _parse_target(args.target)
+    theory = _theory_exponent(args.alpha, args.beta, 2.0 if target[0] == "point" else target[1])
     inputs = []
     if args.risks_file:
         ns, risks, errs = _read_risks_file(args.risks_file)
@@ -324,11 +340,6 @@ def cmd_rates(args, cfg):
             errs.append(err)
     report = rate_fit(ns, risks, errs)
     _write_csv(args.out, "n,risk,stderr", (report.n_values, report.risks, report.stderrs))
-    theory = None
-    if args.alpha is not None and args.beta is not None:
-        ab1 = args.alpha * args.beta + 1.0
-        power = 2.0 if target[0] == "point" else target[1]
-        theory = -power * args.beta / ab1
     report_path = os.path.splitext(args.out)[0] + ".report.json"
     _write_json(report_path, {**_fields(report), "target": {"kind": target[0], "value": target[1]},
                               "theoretical_exponent": theory})
@@ -386,8 +397,10 @@ def _build_parser():
     p.add_argument("--n-list", dest="n_list", default=None, help="comma list, e.g. 200,400,800")
     p.add_argument("--reps", type=int, default=100, help="Monte Carlo replications per n")
     p.add_argument("--target", default="point:0.5", help="point:X0 or lq:Q")
-    p.add_argument("--alpha", type=float, default=None, help="true sharpness for the theory line")
-    p.add_argument("--beta", type=float, default=None, help="true smoothness for the theory line")
+    p.add_argument("--alpha", type=float, default=None,
+                   help="true sharpness for the theory line, with --beta")
+    p.add_argument("--beta", type=float, default=None,
+                   help="true smoothness for the theory line, with --alpha")
     p.add_argument("--risks-file", dest="risks_file", default=None,
                    help="CSV n,risk[,stderr]: fit the slope without simulating")
     p.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")

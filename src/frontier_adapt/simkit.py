@@ -26,7 +26,7 @@ from .errors import (
 from .local_poly import Sample
 
 ERROR_KINDS = ("negexp", "neggamma", "refgamma", "neguniform", "negweibull", "zero")
-# cap on the responses of one chunk of replicates, which a point target holds
+# cap on the responses of one chunk of replicates, which either target holds
 # at once: 1 MiB holds 81 samples at n = 1600, 20 at n = 6400 and 3 at n = 40,000
 MC_CHUNK_BYTES = 1 << 20
 
@@ -153,47 +153,42 @@ def gen_sample(f, em: ErrorModel, n: int, seed) -> Sample:
 
 def _chunk_losses(args):
     """The losses of one chunk of Monte Carlo replicates, in order; None
-    marks a dropped replicate.  A point target fits the chunk's samples in
-    one adaptive_estimate call, which gives each the value it gets alone:
-    a NaN drops its replicate, and a failed call drops them all.  An L_q
-    target fits them one at a time, so each one drops alone."""
+    marks a dropped replicate.  Either target fits the chunk's samples in
+    one adaptive_estimate call, which gives each the values it gets alone:
+    a replicate with a non-finite value drops alone, and a failed call
+    drops them all."""
     f, em, cfg, n, target, master_seed, reps = args
     seeds = [(master_seed, r) for r in reps]
-    if target[0] == "lq":
-        return [_lq_loss(f, em, cfg, n, float(target[1]), seed) for seed in seeds]
-    x0 = float(target[1])
+    q = None if target[0] == "point" else float(target[1])
     try:
         samples = [gen_sample(f, em, n, seed) for seed in seeds]
-        values, _ = adaptive_estimate(samples, replace(cfg, q=None), x=x0)
-        fx0 = float(np.asarray(f(x0)))
+        if q is None:
+            x0 = float(target[1])
+            values, _ = adaptive_estimate(samples, replace(cfg, q=q), x=x0)
+            truth = float(np.asarray(f(x0)))
+        else:
+            xs = samples[0].xs()
+            values, _ = adaptive_estimate(samples, replace(cfg, q=q), grid=xs)
+            truth = np.asarray(f(xs))
     except InvalidConfig:
         raise
     except FrontierAdaptError:
         return [None] * len(seeds)
     losses = []
-    for value in values.tolist():
-        try:
-            losses.append((value - fx0) ** 2 if math.isfinite(value) else None)
-        except OverflowError:  # a float power raises; mc_risk rejects the inf
-            losses.append(math.inf)
+    for row in np.reshape(values, (len(seeds), -1)):
+        if not np.isfinite(row).all():
+            losses.append(None)
+        elif q is None:
+            # Python's x ** 2, which numpy's square does not match bit for bit
+            try:
+                losses.append((float(row[0]) - truth) ** 2)
+            except OverflowError:  # a float power raises; mc_risk rejects the inf
+                losses.append(math.inf)
+        else:
+            # a large q overflows to inf, which mc_risk rejects
+            with np.errstate(over="ignore"):
+                losses.append(float(np.mean(np.abs(row - truth) ** q)))
     return losses
-
-
-def _lq_loss(f, em, cfg, n, q, seed):
-    """One replicate's empirical q-th power loss over the design; None drops it."""
-    try:
-        sample = gen_sample(f, em, n, seed)
-        xs = sample.xs()
-        values, _ = adaptive_estimate(sample, replace(cfg, q=q), grid=xs)
-        if not np.all(np.isfinite(values)):
-            return None
-        # a large q overflows to inf, which mc_risk rejects
-        with np.errstate(over="ignore"):
-            return float(np.mean(np.abs(values - np.asarray(f(xs))) ** q))
-    except InvalidConfig:
-        raise
-    except FrontierAdaptError:
-        return None
 
 
 def check_target(target):
@@ -215,13 +210,15 @@ def mc_risk(f, em: ErrorModel, cfg: EstimatorConfig, n: int, reps: int, target, 
 
     target = ("point", x0) gives the squared pointwise risk at x0;
     target = ("lq", q) gives the empirical q-th power loss averaged over the
-    design.  Failed replicates are dropped, not imputed; more than 5%
-    failures raises PipelineError, and a loss that overflows a float (a
-    large q, or errors near 1e300) raises DegenerateInput.  reps is an
-    integer >= 2, threads an integer >= 1 and master_seed an integer >= 0.
-    Either target cuts the replicates into one chunk per worker, or into
-    smaller chunks where a chunk's responses would pass MC_CHUNK_BYTES; the
-    pool holds at most min(threads, reps, CPUs) workers.  Returns (risk,
+    design.  reps is an integer >= 2, threads an integer >= 1 and
+    master_seed an integer >= 0.  Either target cuts the replicates into one
+    chunk per worker, or into smaller chunks where a chunk's responses would
+    pass MC_CHUNK_BYTES, and fits each chunk in one adaptive_estimate call;
+    the pool holds at most min(threads, reps, CPUs) workers.  Failed
+    replicates are dropped, not imputed: one with a non-finite value drops
+    alone, and a library error in a chunk's call drops the chunk.  More than
+    5% dropped raises PipelineError, and a loss that overflows a float (a
+    large q, or errors near 1e300) raises DegenerateInput.  Returns (risk,
     stderr).
     """
     check_count("reps", reps, 2)

@@ -211,36 +211,22 @@ def tail_m(n_bar: int, m_exponent: float) -> int:
     return int(min(n_bar, max(3, round(2.0 * n_bar**m_exponent))))
 
 
-def per_k_inv_alphas(sample: Sample, x: float, grid, m_exponent: float,
-                     counters=None):
-    """Per-bandwidth (1/alpha, m, ordered window) for k = 0..K.
-
-    The one-row case of _per_k_rows.  1/alpha is NaN where degenerate; the
-    ordered window holds the top m order statistics, and is None where the
-    window could not be ordered or was too small.
-    """
-    invs, ms, _, tops, ordered = _per_k_rows([sample.ys], x, grid, m_exponent, [counters])
-    return invs[0], ms, [None if t is None or not ordered[0, k] else t[0]
-                         for k, t in enumerate(tops)]
-
-
 def _per_k_rows(ys, x: float, grid, m_exponent: float, counters):
-    """per_k_inv_alphas for R samples of one n at once: ys holds their
-    responses, counters one dict (or None) per sample.
+    """Per-bandwidth 1/alpha for k = 0..K of R samples of one n at once: ys
+    holds their responses, counters one dict (or None) per sample.
 
     Each window of at least 3 points is sorted once, as one (R, size) stack,
     so a row's tied pairs count once in ties_jittered, and only its top m
     order statistics are kept for the b estimator.  Returns (invs (R, K+1),
-    ms, sizes, tops, ordered): the window sizes, the top order statistics
-    per k ((R, m_k), or None where the window is too small) and which rows
-    of them were ordered.
+    ms, sizes, tops): 1/alpha, NaN where degenerate, the order-statistic
+    counts, the window sizes, and the top order statistics per k ((R, m_k),
+    or None where the window is too small).
     """
     R, n, K = len(ys), ys[0].size, grid.K
     invs = np.full((R, K + 1), np.nan)
     ms = np.zeros(K + 1, dtype=int)
     sizes = np.zeros(K + 1, dtype=int)
     tops = [None] * (K + 1)
-    ordered = np.zeros((R, K + 1), dtype=bool)
     for k in range(K + 1):
         start, stop = window_bounds(n, x, grid.bandwidths[k])
         sizes[k] = stop - start
@@ -256,12 +242,11 @@ def _per_k_rows(ys, x: float, grid, m_exponent: float, counters):
         del stack
         inv_alpha, hill_why = _neg_hill_rows(tops[k])
         for r, (order_fails, hill_fails) in enumerate(zip(why, hill_why)):
-            ordered[r, k] = order_fails is None
             if order_fails is None and hill_fails is None:
                 invs[r, k] = inv_alpha[r]
             else:
                 _bump(counters[r], "tail_k_skipped")
-    return invs, ms, sizes, tops, ordered
+    return invs, ms, sizes, tops
 
 
 def first_drift(K: int, distance, threshold) -> int:
@@ -326,8 +311,7 @@ def estimate_tail_at(sample, x: float, grid, m_exponent: float, counters=None):
     counters = [counters] if one else [None] * R if counters is None else list(counters)
     if len(counters) != R:
         raise InvalidConfig(f"{len(counters)} counters for {R} samples")
-    invs, ms, sizes, tops, _ = _per_k_rows([s.ys for s in samples], x, grid, m_exponent,
-                                           counters)
+    invs, ms, sizes, tops = _per_k_rows([s.ys for s in samples], x, grid, m_exponent, counters)
     k_alpha = np.full(R, -1)  # -1: no usable window, and no b estimate read
     inv_alpha = np.full(R, np.nan)
     why = [None] * R

@@ -478,20 +478,63 @@ def test_stacked_grid_equals_each_site_alone(monkeypatch, n, kind):
     assert (diag.k_alpha[4:8] == -1).all() and total["tail_degenerate_points"] == 4
 
 
+@pytest.mark.parametrize("reps", [1, 4])
+def test_stacked_lq_equals_each_sample_alone(monkeypatch, reps):
+    # one L_q selection per sample, with one stacked tail pass at x = 1/2:
+    # each sample's values, every per-sample Diagnostics entry and the
+    # counters, in their key order, are those of the sample run alone; the
+    # constant third sample has a degenerate tail
+    tails = []
+    stacked = adapt.estimate_tail_at
+
+    def recording(sample, *args):
+        tails.append(sample)
+        return stacked(sample, *args)
+
+    monkeypatch.setattr(adapt, "estimate_tail_at", recording)
+    n = 200
+    em = ErrorModel("negexp")
+    samples = [gen_sample(builtin_f("f2"), em, n, (13, r)) for r in range(reps)]
+    if reps > 2:
+        samples[2] = Sample(np.full(n, -1.0))
+    cfg = EstimatorConfig(q=1.0)
+    for at in ({"grid": samples[0].xs()}, {"grid": np.linspace(0.0, 1.0, 7)}, {"x": 0.31}):
+        tails.clear()
+        values, diag = adaptive_estimate(samples, cfg, **at)
+        assert [[id(s) for s in t] for t in tails] == [[id(s) for s in samples]]
+        P = np.size(at.get("grid", 0.0))
+        assert values.shape == (reps * P,) and diag.points.size == reps * P
+        total = {}
+        for r, sample in enumerate(samples):
+            value, alone = adaptive_estimate(sample, cfg, **at)
+            assert np.asarray(value, float).tobytes() == values[r * P : (r + 1) * P].tobytes(), r
+            assert diag.points[r * P : (r + 1) * P].tolist() == alone.points.tolist()
+            for name in _SITE_FIELDS:
+                got = np.asarray(getattr(diag, name)[r]).tolist()
+                assert repr(got) == repr(np.asarray(getattr(alone, name)).tolist()), (r, name)
+            for key, count in alone.counters.items():
+                total[key] = total.get(key, 0) + count
+        assert list(diag.counters.items()) == list(total.items())
+        assert diag.k_hat.shape == (reps,)
+        if reps > 2:
+            assert diag.k_alpha[2] == -1 and np.isnan(diag.alpha_hat[2])
+            assert total["tail_degenerate_points"] == 1
+
+
 def test_stack_argument_contract():
     sample = gen_sample(builtin_f("const"), ErrorModel("negexp"), 50, seed=2)
     other = gen_sample(builtin_f("const"), ErrorModel("negexp"), 60, seed=2)
-    for stack in ([], [sample, other], [sample, sample.ys]):
-        with pytest.raises(InvalidConfig, match="Samples of one n"):
-            adaptive_estimate(stack, EstimatorConfig(), x=0.5)
-    # L_q rows are fitted lazily per sample, so a stack has no one L_q selection
-    with pytest.raises(InvalidConfig, match="one Sample"):
-        adaptive_estimate([sample, sample], EstimatorConfig(q=1.0), grid=sample.xs())
-    # a grid gives one site per (sample, point), sample-major
-    values, diag = adaptive_estimate([sample, sample], EstimatorConfig(), grid=[0.2, 0.7])
-    alone, _ = adaptive_estimate(sample, EstimatorConfig(), grid=[0.2, 0.7])
-    assert values.tobytes() == np.tile(alone, 2).tobytes()
-    assert diag.points.tolist() == [0.2, 0.7, 0.2, 0.7] and diag.k_hat.shape == (4,)
+    for cfg in (EstimatorConfig(), EstimatorConfig(q=1.0)):
+        for stack in ([], [sample, other], [sample, sample.ys]):
+            with pytest.raises(InvalidConfig, match="Samples of one n"):
+                adaptive_estimate(stack, cfg, x=0.5)
+    # a grid gives one value per site (sample, point), sample-major; a
+    # selection is a site in pointwise mode and a sample in L_q mode
+    for cfg, selections in ((EstimatorConfig(), 4), (EstimatorConfig(q=1.0), 2)):
+        values, diag = adaptive_estimate([sample, sample], cfg, grid=[0.2, 0.7])
+        alone, _ = adaptive_estimate(sample, cfg, grid=[0.2, 0.7])
+        assert values.tobytes() == np.tile(alone, 2).tobytes()
+        assert diag.points.tolist() == [0.2, 0.7, 0.2, 0.7] and diag.k_hat.shape == (selections,)
 
 
 def test_small_windows_at_high_degree_go_scalar(monkeypatch):

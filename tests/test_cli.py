@@ -430,7 +430,7 @@ _NON_FINITE_CASES = (
     [(cmd, row, "non-finite") for cmd in ("estimate", "tail")
      for row in ("0.1,nan", "0.1,inf", "0.1,-inf", "nan,-1.0")]
     + [("rates", row, "non-finite") for row in ("nan,0.1", "inf,0.1", "200,nan", "200,inf")]
-    + [("rates", "200.5,0.1", "positive integer")]
+    + [("rates", "200.5,0.1", "positive integer"), ("rates", "100,0.1,-0.5", "stderr must be >= 0")]
 )
 
 
@@ -440,7 +440,10 @@ _NON_FINITE_CASES = (
 )
 def test_non_finite_cell_exits_3(tmp_path, command, bad_row, reason):
     if command == "rates":
-        header, rows, argv = "n,risk", ["100,0.1", "200,0.05", "400,0.025"], ["--risks-file"]
+        # a bad stderr cell goes into a file with the stderr column
+        width = bad_row.count(",") + 1
+        header, argv = ",".join(("n", "risk", "stderr")[:width]), ["--risks-file"]
+        rows = [row + ",0.01" * (width - 2) for row in ("100,0.1", "200,0.05", "400,0.025")]
     else:
         header, rows, argv = "x,y", [f"{j / 10},-{j % 3 + 1}.5" for j in range(1, 11)], []
     rows[0] = bad_row
@@ -680,6 +683,17 @@ def test_rates_overflowing_lq_loss_exits_4_without_warnings(tmp_path):
     (["estimate", "s.csv", "--q", "1e20"], 0),
     (["tail", "s.csv", "--x", "5"], 2),
     (["tail", "s.csv", "--x", "-1"], 2),
+    (["rates", "--risks-file", "r.csv", "--alpha", "-1", "--beta", "1"], 2),
+    (["rates", "--risks-file", "r.csv", "--alpha", "0", "--beta", "1"], 2),
+    (["rates", "--risks-file", "r.csv", "--alpha", "nan", "--beta", "1"], 2),
+    (["rates", "--risks-file", "r.csv", "--alpha", "1", "--beta", "inf"], 2),
+    (["rates", "--risks-file", "r.csv", "--alpha", "1", "--beta", "-2"], 2),
+    (["rates", "--risks-file", "r.csv", "--alpha", "1"], 2),
+    (["rates", "--risks-file", "r.csv", "--beta", "1"], 2),
+    (["rates", "--risks-file", "r.csv", "--alpha", "1", "--beta", "2"], 0),
+    # checked before any of the million replicates runs
+    (["rates", "--f", "const", "--em", "negexp", "--reps", "1000000", "--n-list", "40,60,90",
+      "--alpha", "-1", "--beta", "1"], 2),
 ])
 def test_hostile_setting_exits_cleanly(tmp_path, argv, code):
     main(["simulate", "--f", "f2", "--em", "negexp", "--n", "60", "--seed", "4",

@@ -287,6 +287,39 @@ def test_a_nan_replicate_drops_alone_from_its_chunk(monkeypatch):
     assert (risk, stderr) == (float(losses.mean()), float(losses.std(ddof=1) / math.sqrt(19)))
 
 
+def test_a_non_finite_lq_replicate_drops_alone_from_its_chunk(monkeypatch):
+    # the L_q target's 20 replicates are one chunk in one call; replicate
+    # 3's sample holds 1e308 beside -1e308, so some of its values are NaN:
+    # the risk is that of the other 19, each fitted alone
+    real = simkit.gen_sample
+
+    def overflowing(f, em, n, seed):
+        sample = real(f, em, n, seed)
+        if seed[1] != 3:
+            return sample
+        ys = sample.ys.copy()
+        ys[n // 2 - 2 : n // 2] = 1e308, -1e308
+        return Sample(ys)
+
+    calls = []
+    stacked = simkit.adaptive_estimate
+
+    def recording(samples, *args, **kwargs):
+        calls.append(len(samples))
+        return stacked(samples, *args, **kwargs)
+
+    monkeypatch.setattr(simkit, "gen_sample", overflowing)
+    monkeypatch.setattr(simkit, "adaptive_estimate", recording)
+    f, em, cfg = builtin_f("absdip"), ErrorModel("negexp"), EstimatorConfig(q=1.0)
+    risk, stderr = mc_risk(f, em, EstimatorConfig(), 200, 20, ("lq", 1.0), 2)
+    assert calls == [20]
+    xs = real(f, em, 200, (2, 0)).xs()
+    alone = [adaptive_estimate(overflowing(f, em, 200, (2, r)), cfg, grid=xs)[0] for r in range(20)]
+    assert not np.isfinite(alone[3]).all()
+    losses = np.array([np.mean(np.abs(v - f(xs))) for r, v in enumerate(alone) if r != 3])
+    assert (risk, stderr) == (float(losses.mean()), float(losses.std(ddof=1) / math.sqrt(19)))
+
+
 def test_a_chunk_holds_at_most_its_cap_of_samples(monkeypatch):
     # at n = 40,000 the 1 MiB cap holds 3 samples: 7 replicates in 3 chunks
     chunks = []
