@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, InvalidConfig, NumericalBreakdown
-from .local_poly import Sample, check_points, estimate_at, estimate_windows, window_bounds
+from .local_poly import Sample, check_points, check_stack, estimate_at, estimate_windows, window_bounds
 from .lp import lockstep_pays
 from .tail import _bump, a_hat, estimate_tail_at, first_drift
 
@@ -47,13 +47,15 @@ class EstimatorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in _RULES:
-            if name != "q" or self.q is not None:
-                _check_setting(name, getattr(self, name))
-        check_seed(self.seed)
+        for name, value in vars(self).items():
+            if name == "seed":
+                check_seed(value)
+            elif name != "q" or value is not None:
+                check_setting(name, value)
 
 
-# (integer?, range test, rule) of each numeric setting, pointwise q = None aside
+# (integer?, range test, rule) of each number a caller sets: the numeric settings
+# (pointwise q = None aside), then the simulation layer's sizes, points and parameters
 _RULES = {
     "beta_star": (True, lambda v: 0 <= v <= 10, "an integer in [0, 10]"),
     "h0_exponent": (False, lambda v: 0.0 < v < 1.0, "in (0, 1)"),
@@ -62,13 +64,19 @@ _RULES = {
     "c_beta": (False, lambda v: v > 0.0, "finite and > 0"),
     "j_beta": (True, lambda v: v >= 1, "an integer >= 1 that fits a float"),
     "q": (False, lambda v: v >= 1.0, "finite and >= 1"),
+    "n": (True, lambda v: v >= 2, ">= 2 and an integer that fits a float"),
+    "reps": (True, lambda v: v >= 2, ">= 2 and an integer that fits a float"),
+    "threads": (True, lambda v: v >= 1, ">= 1 and an integer that fits a float"),
+    "point": (False, lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "positive": (False, lambda v: v > 0.0, "finite and > 0"),
 }
 
 
-def _check_setting(name, value):
+def check_setting(name, value, rule=None):
     """Raise InvalidConfig unless value is a real number (an integer where the
-    rule asks for one, never a bool) that a float holds and that its rule allows."""
-    integer, allowed, rule = _RULES[name]
+    rule asks for one, never a bool) that a float holds and that its rule
+    allows.  rule is a key of _RULES, name by default."""
+    integer, allowed, text = _RULES[rule or name]
     kind = numbers.Integral if integer else numbers.Real
     try:
         ok = (isinstance(value, kind) and not isinstance(value, bool)
@@ -76,7 +84,7 @@ def _check_setting(name, value):
     except OverflowError:  # an integer that no float holds
         ok = False
     if not ok:
-        raise InvalidConfig(f"{name} must be {rule}")
+        raise InvalidConfig(f"{name} must be {text}")
 
 
 def check_seed(seed):
@@ -84,13 +92,6 @@ def check_seed(seed):
     for s in seed if isinstance(seed, (tuple, list)) else (seed,):
         if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 0:
             raise InvalidConfig(f"seed must be an integer >= 0, got {s!r}")
-
-
-def check_count(name, value, least):
-    """Raise InvalidConfig unless value, a count such as a design size n, is
-    an integer >= least, never a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-        raise InvalidConfig(f"{name} must be >= {least} and an integer, got {value!r}")
 
 
 # the largest K that build_grid allows: a rho just above 1 makes K astronomical
@@ -111,9 +112,9 @@ class BandwidthGrid:
 def build_grid(n: int, h0_exponent: float, rho: float) -> BandwidthGrid:
     """Grid with h0 = n^(h0_exponent - 1) and K = floor(log_rho n^(1 - h0_exponent)),
     K at most MAX_K."""
-    check_count("n", n, 2)
-    _check_setting("h0_exponent", h0_exponent)
-    _check_setting("rho", rho)
+    check_setting("n", n)
+    check_setting("h0_exponent", h0_exponent)
+    check_setting("rho", rho)
     h0 = float(n) ** (h0_exponent - 1.0)
     # the 1e-9 nudge keeps exact powers (e.g. rho = n^(1-h0_exponent)) from
     # flooring one step low on last-ulp noise
@@ -135,15 +136,13 @@ class CriticalValues:
 
     raw: np.ndarray
     truncated: np.ndarray
-    kind: str
-    q: float | None = None
 
 
 def _truncate_monotonize(raw) -> np.ndarray:
     return np.minimum.accumulate(np.minimum(raw, 1.0))
 
 
-def _critical_values(grid: BandwidthGrid, term, q=None) -> CriticalValues:
+def _critical_values(grid: BandwidthGrid, term) -> CriticalValues:
     """zeta_k = term(k) for k < K, 1 where term raises DomainError, terminal 0."""
     raw = np.zeros(grid.K + 1)
     for k in range(grid.K):
@@ -151,8 +150,7 @@ def _critical_values(grid: BandwidthGrid, term, q=None) -> CriticalValues:
             raw[k] = term(k)
         except DomainError:
             raw[k] = 1.0
-    kind = "pointwise" if q is None else "lq"
-    return CriticalValues(raw=raw, truncated=_truncate_monotonize(raw), kind=kind, q=q)
+    return CriticalValues(raw=raw, truncated=_truncate_monotonize(raw))
 
 
 def critical_values_pointwise(grid: BandwidthGrid, tail, cfg: EstimatorConfig) -> CriticalValues:
@@ -190,7 +188,7 @@ def iu_n(s: float, q: float, tail, n: int) -> float:
 
     if s <= 0.0:
         raise DomainError("s must be positive")
-    _check_setting("q", q)
+    check_setting("q", q)
     inv_a = tail.inv_alpha
     b = tail.b_hat
     lo = float(n) ** (-2.0 * inv_a)
@@ -221,7 +219,7 @@ def critical_values_lq(grid: BandwidthGrid, tail, q: float, cfg: EstimatorConfig
         s = grid.n * grid.bandwidths[k] / (6.0 * J)
         return math.sqrt(5.0) * cfg.c_beta * abs(iu_n(s, q, tail, grid.n))
 
-    return _critical_values(grid, term, q)
+    return _critical_values(grid, term)
 
 
 def lepski_select(estimates, cvs: CriticalValues, q: float | None = None) -> int:
@@ -401,7 +399,7 @@ def _select(te, cfg, grid, estimates, window_sizes, counters):
     trace = _blank_trace(grid.K)
     if te is None:
         _bump(counters, "tail_degenerate_points")
-        cvs = _critical_values(grid, lambda k: 1.0, cfg.q)  # fully truncated
+        cvs = _critical_values(grid, lambda k: 1.0)  # fully truncated
     else:
         trace.update(alpha_hat=1.0 / te.inv_alpha, b_hat=te.b_hat, k_alpha=te.k_alpha, k_b=te.k_b)
         cvs = (critical_values_pointwise(grid, te, cfg) if cfg.q is None
@@ -437,9 +435,7 @@ def adaptive_estimate(sample, cfg: EstimatorConfig, x=None, grid=None):
     if (x is None) == (grid is None):
         raise InvalidConfig("pass exactly one of x= or grid=")
     stack = not isinstance(sample, Sample)
-    samples = list(sample) if stack else [sample]
-    if not (samples and all(isinstance(s, Sample) and s.n == samples[0].n for s in samples)):
-        raise InvalidConfig("a sequence of samples needs one or more Samples of one n")
+    samples = check_stack(sample)
     n = samples[0].n
     bgrid = build_grid(n, cfg.h0_exponent, cfg.rho)
     counters: dict = {}
@@ -477,11 +473,11 @@ def adaptive_estimate(sample, cfg: EstimatorConfig, x=None, grid=None):
                      else EnvelopeRows(samples[i], xs, bandwidths, cfg.beta_star, counters))
         traces.append(_select(te, cfg, bgrid, estimates, sizes[i % T], counters))
         k_hat = traces[-1]["k_hat"]
-        # fits an L_q sample's row k_hat, and counts it, when the selection read none (K = 0)
-        value = estimates[k_hat]
-        if cfg.q is not None and not on_design:
-            value = EnvelopeRows(samples[i], pts, [bandwidths[k_hat]], cfg.beta_star, counters)[0]
-        elif cfg.q is None and np.isnan(value) and np.isfinite(estimates[:k_hat]).any():
+        # off the design an L_q sample's value is its refit at the grid alone; on it, row
+        # k_hat is fitted (and counted) here when the selection read none (K = 0)
+        value = (EnvelopeRows(samples[i], pts, [bandwidths[k_hat]], cfg.beta_star, counters)[0]
+                 if cfg.q is not None and not on_design else estimates[k_hat])
+        if cfg.q is None and np.isnan(value) and np.isfinite(estimates[:k_hat]).any():
             # nearest fit that succeeded at a smaller bandwidth
             value = estimates[np.flatnonzero(np.isfinite(estimates[:k_hat]))[-1]]
             _bump(counters, "selected_estimate_missing")

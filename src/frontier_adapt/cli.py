@@ -28,7 +28,7 @@ from dataclasses import fields, is_dataclass
 
 import numpy as np
 
-from .adapt import EstimatorConfig, adaptive_estimate, build_grid, check_count
+from .adapt import EstimatorConfig, adaptive_estimate, build_grid, check_setting
 from .errors import (
     DegenerateWindow,
     FrontierAdaptError,
@@ -313,14 +313,13 @@ def _theory_exponent(alpha, beta, power):
         return None
     if alpha is None or beta is None:
         raise InvalidConfig("--alpha and --beta go together")
-    for name, value in (("--alpha", alpha), ("--beta", beta)):
-        if not 0.0 < value < math.inf:
-            raise InvalidConfig(f"{name} must be finite and > 0, got {value!r}")
+    check_setting("--alpha", alpha, "positive")
+    check_setting("--beta", beta, "positive")
     return -power * beta / (alpha * beta + 1.0)
 
 
 def cmd_rates(args, cfg):
-    check_count("--threads", args.threads, 1)
+    check_setting("--threads", args.threads, "threads")
     target = _parse_target(args.target)
     theory = _theory_exponent(args.alpha, args.beta, 2.0 if target[0] == "point" else target[1])
     inputs = []

@@ -41,6 +41,15 @@ class Sample:
         return np.arange(1, self.n + 1) / self.n
 
 
+def check_stack(sample) -> list:
+    """sample as a list of Samples: [sample] for one Sample; InvalidConfig
+    unless it is one or a non-empty sequence of Samples of one n."""
+    samples = [sample] if isinstance(sample, Sample) else list(sample)
+    if not (samples and all(isinstance(s, Sample) and s.n == samples[0].n for s in samples)):
+        raise InvalidConfig("a sequence of samples needs one or more Samples of one n")
+    return samples
+
+
 def spread_overflows(top: float, bottom: float) -> bool:
     """True when top - bottom (top >= bottom, both finite) may overflow.
 

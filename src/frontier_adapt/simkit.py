@@ -8,13 +8,12 @@ so parallel fan-out reproduces the serial results exactly.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adapt import EstimatorConfig, adaptive_estimate, check_count, check_seed
+from .adapt import EstimatorConfig, adaptive_estimate, check_seed, check_setting
 from .errors import (
     DegenerateInput,
     DomainError,
@@ -41,6 +40,7 @@ class ErrorModel:
     reflected-density name; neguniform = Uniform[-1, 0], which has
     (alpha, scale, log-exponent) = (1, 1, 0) exactly; negweibull(shape);
     zero = no noise.  spatial, if set, maps x to a local shape for neggamma.
+    A rate or shape that the kind reads is finite and > 0, else InvalidConfig.
     """
 
     kind: str
@@ -51,11 +51,10 @@ class ErrorModel:
     def __post_init__(self):
         if self.kind not in ERROR_KINDS:
             raise UnknownName(f"unknown error model {self.kind!r}; choose from {ERROR_KINDS}")
-        if self.kind == "negexp" and not 0.0 < self.rate < math.inf:
-            raise InvalidConfig(f"negexp rate must be positive and finite, got {self.rate!r}")
-        if (self.kind in ("neggamma", "refgamma", "negweibull") and self.spatial is None
-                and not 0.0 < self.shape < math.inf):
-            raise InvalidConfig(f"{self.kind} shape must be positive and finite, got {self.shape!r}")
+        if self.kind == "negexp":
+            check_setting("negexp rate", self.rate, "positive")
+        if self.kind in ("neggamma", "refgamma", "negweibull") and self.spatial is None:
+            check_setting(f"{self.kind} shape", self.shape, "positive")
         if self.spatial is not None and self.kind != "neggamma":
             raise InvalidConfig("spatial shape maps apply to neggamma only")
 
@@ -142,7 +141,7 @@ def gen_sample(f, em: ErrorModel, n: int, seed) -> Sample:
     seed may be an int >= 0 or a tuple of them (e.g. (master_seed,
     replicate)).  An error model that draws a non-finite error, such as
     negexp at a subnormal rate, raises InvalidConfig."""
-    check_count("n", n, 2)
+    check_setting("n", n)
     xs = np.arange(1, n + 1, dtype=float) / n
     rng = _rng_for(seed)
     errors = draw_errors(em, xs, rng)
@@ -196,13 +195,8 @@ def check_target(target):
     or ("lq", q) with q finite and >= 1, x0 and q real numbers, never a bool."""
     if not (isinstance(target, tuple) and len(target) == 2 and target[0] in ("point", "lq")):
         raise InvalidConfig('target must be ("point", x0) or ("lq", q)')
-    kind, value = target
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidConfig(f"target value must be a real number, got {value!r}")
-    if kind == "point" and not 0.0 < value <= 1.0:
-        raise InvalidConfig(f"target point must lie in (0, 1], got {value!r}")
-    if kind == "lq" and not 1.0 <= value < math.inf:
-        raise InvalidConfig(f"target q must be finite and >= 1, got {value!r}")
+    rule = "point" if target[0] == "point" else "q"
+    check_setting(f"target {rule}", target[1], rule)
 
 
 def mc_risk(f, em: ErrorModel, cfg: EstimatorConfig, n: int, reps: int, target, master_seed, threads: int = 1):
@@ -221,11 +215,11 @@ def mc_risk(f, em: ErrorModel, cfg: EstimatorConfig, n: int, reps: int, target, 
     large q, or errors near 1e300) raises DegenerateInput.  Returns (risk,
     stderr).
     """
-    check_count("reps", reps, 2)
-    check_count("threads", threads, 1)
+    check_setting("reps", reps)
+    check_setting("threads", threads)
     check_target(target)
     check_seed(master_seed)
-    check_count("n", n, 2)
+    check_setting("n", n)
     # the pool starts all its workers at once: never more than replicates or CPUs
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(threads, reps, cpus or 1)

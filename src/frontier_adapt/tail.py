@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWindow, DomainError, InvalidConfig
-from .local_poly import Sample, check_points, spread_overflows, window_bounds
+from .local_poly import Sample, check_points, check_stack, spread_overflows, window_bounds
 
 INV_ALPHA_CAP = 10.0  # selected 1/alpha capped here (alpha >= 0.1), counted
 _TIE_JITTER = 1e-12   # relative to the window range
@@ -304,9 +304,7 @@ def estimate_tail_at(sample, x: float, grid, m_exponent: float, counters=None):
     """
     check_points(x)
     one = isinstance(sample, Sample)
-    samples = [sample] if one else list(sample)
-    if not (samples and all(isinstance(s, Sample) and s.n == samples[0].n for s in samples)):
-        raise InvalidConfig("a sequence of samples needs one or more Samples of one n")
+    samples = check_stack(sample)
     R = len(samples)
     counters = [counters] if one else [None] * R if counters is None else list(counters)
     if len(counters) != R:

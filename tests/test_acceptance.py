@@ -224,7 +224,7 @@ def test_c09_critical_value_and_selector_contracts():
         assert np.all(truncated >= 0.0) and np.all(truncated <= 1.0)
         assert np.all(np.diff(truncated) <= 0.0)
         assert truncated[K] == 0.0
-        cvs = CriticalValues(raw=raw, truncated=truncated, kind="pointwise")
+        cvs = CriticalValues(raw=raw, truncated=truncated)
         if i % 2 == 0:
             estimates = rng.normal(0.0, 1.0, K + 1)
             q = None
@@ -235,9 +235,7 @@ def test_c09_critical_value_and_selector_contracts():
         k_hat = lepski_select(estimates, cvs, q=q)
         assert 0 <= k_hat <= K
         lam = 1.0 + float(rng.uniform(0.0, 2.0))
-        enlarged = CriticalValues(
-            raw=raw * lam, truncated=np.minimum(truncated * lam, 1.0), kind="pointwise"
-        )
+        enlarged = CriticalValues(raw=raw * lam, truncated=np.minimum(truncated * lam, 1.0))
         assert lepski_select(estimates, enlarged, q=q) >= k_hat
     assert _report(9, True, "200 randomized sequences, all contracts hold")
 

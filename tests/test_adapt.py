@@ -201,7 +201,6 @@ def test_lq_critical_values_inverse_bandwidth_form():
         expected = math.sqrt(5.0) * 6.0 / (g.n * g.bandwidths[k])
         assert cvs.raw[k] == pytest.approx(expected, rel=1e-6)
     assert cvs.raw[g.K] == 0.0
-    assert cvs.kind == "lq" and cvs.q == 1.0
 
 
 def test_lq_critical_values_degenerate_domain_truncates():
@@ -212,7 +211,7 @@ def test_lq_critical_values_degenerate_domain_truncates():
 
 def _cvs_from_truncated(t):
     t = np.asarray(t, dtype=float)
-    return CriticalValues(raw=t.copy(), truncated=t, kind="pointwise")
+    return CriticalValues(raw=t.copy(), truncated=t)
 
 
 def test_lepski_select_crafted_sequences():
@@ -343,6 +342,12 @@ def test_lq_selection_fits_only_the_rows_it_reads(monkeypatch, n):
         assert K == 4 and diag.k_hat + 1 < K
     else:
         assert K == 0
+        # off the design only the refit at the grid runs: no design row is read
+        hs.clear()
+        values, diag = adaptive_estimate(Sample([-1.0, -0.5, -0.2]), EstimatorConfig(q=1.0),
+                                         grid=[0.5])
+        assert diag.grid.K == 0 and values[0] == pytest.approx(-0.65, abs=1e-12)
+        assert len(hs) == 1 and diag.counters["degree_lowered"] == 1
 
 
 def test_pointwise_selection_still_fits_every_row(monkeypatch):

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -21,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frontier_adapt import local_poly
+from frontier_adapt.adapt import EstimatorConfig
 from frontier_adapt.cli import _build_parser, main
 from frontier_adapt.simkit import ERROR_KINDS
 
@@ -398,6 +400,34 @@ def test_each_subcommand_takes_only_the_options_it_reads():
     assert taken == _SUBCOMMAND_OPTIONS
 
 
+# Every value a caller sets: the EstimatorConfig fields (8) and each
+# subcommand's arguments, positional ones by name (10, 9, 7 and 21).  A new
+# knob fails here until this list, and the change log, say why it is needed.
+_SETTABLE_VALUES = {
+    "EstimatorConfig": ["beta_star", "h0_exponent", "rho", "m_exponent", "c_beta", "j_beta", "q",
+                        "seed"],
+    "estimate": ["input", "--config", "--out", "--beta-star", "--h0-exponent", "--rho",
+                 "--m-exponent", "--c-beta", "--j-beta", "--q"],
+    "simulate": ["--config", "--out", "--seed", "--em", "--rate", "--shape", "--alpha-profile",
+                 "--f", "--n"],
+    "tail": ["input", "--config", "--out", "--h0-exponent", "--rho", "--m-exponent", "--x"],
+    "rates": ["--config", "--out", "--beta-star", "--h0-exponent", "--rho", "--m-exponent",
+              "--c-beta", "--j-beta", "--seed", "--em", "--rate", "--shape", "--alpha-profile",
+              "--f", "--n-list", "--reps", "--target", "--alpha", "--beta", "--risks-file",
+              "--threads"],
+}
+
+
+def test_settable_values_are_pinned():
+    (subparsers,) = [a for a in _build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    settable = {"EstimatorConfig": [f.name for f in dataclasses.fields(EstimatorConfig)]}
+    for name, sub in subparsers.choices.items():
+        settable[name] = [action.option_strings[-1] if action.option_strings else action.dest
+                          for action in sub._actions if action.dest != "help"]
+    assert settable == _SETTABLE_VALUES
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--f", "f1", "--em", "negexp", "--n", "10", "--rho", "0.5"],
     ["tail", "s.csv", "--q", "2"],
@@ -694,6 +724,10 @@ def test_rates_overflowing_lq_loss_exits_4_without_warnings(tmp_path):
     # checked before any of the million replicates runs
     (["rates", "--f", "const", "--em", "negexp", "--reps", "1000000", "--n-list", "40,60,90",
       "--alpha", "-1", "--beta", "1"], 2),
+    # a size that no float holds, which numpy once refused with a traceback
+    (["simulate", "--f", "f2", "--em", "negexp", "--n", str(10**400)], 2),
+    (["rates", "--f", "const", "--em", "negexp", "--reps", "2", "--n-list",
+      f"100,200,{10**400}"], 2),
 ])
 def test_hostile_setting_exits_cleanly(tmp_path, argv, code):
     main(["simulate", "--f", "f2", "--em", "negexp", "--n", "60", "--seed", "4",

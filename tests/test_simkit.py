@@ -99,6 +99,11 @@ def test_error_model_validation():
                   dict(kind="negweibull", shape=math.inf)):
         with pytest.raises(InvalidConfig, match="finite"):
             ErrorModel(**model)
+    # a rate or shape that is not a real number, or is a bool
+    for model in (dict(kind="negexp", rate="1"), dict(kind="negexp", rate=None),
+                  dict(kind="negexp", rate=True), dict(kind="neggamma", shape=True)):
+        with pytest.raises(InvalidConfig):
+            ErrorModel(**model)
     bad = ErrorModel("neggamma", spatial=lambda x: -np.ones_like(x))
     with pytest.raises(InvalidConfig):
         draw_errors(bad, np.linspace(0, 1, 5), np.random.default_rng(0))
