@@ -29,9 +29,9 @@ DEFAULT_C_BETA = 0.3
 DEFAULT_J_BETA = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class EstimatorConfig:
-    """Tuning knobs for the adaptive pipeline.
+    """Tuning knobs for the adaptive pipeline, checked on construction and frozen.
 
     q = None selects pointwise (sup-style) selection; a finite q >= 1
     selects empirical L_q selection with a single global bandwidth index.
@@ -271,14 +271,14 @@ def lepski_select(estimates, cvs: CriticalValues, q: float | None = None) -> int
 class EnvelopeRows:
     """Envelope estimates at sites, one row per bandwidth, fitted lazily.
 
-    Site i is points[i] of the Sample samples[i]; all samples share one n.
-    One Sample, as samples, is the sample of every site: it becomes one
-    reference per site here, so every fit below sees a per-site sequence.
-    Reading row k fits every missing row below it first, so the fits, and
-    the counters they bump, run in the order of a full sweep.  No site
-    raises: a window of m < 2 points gives NaN (window_too_small), the
-    degree is lowered to min(beta_star, m - 2) (degree_lowered), and an LP
-    failure gives NaN (lp_failures).
+    samples is one Sample or a non-empty sequence of Samples of one n, and
+    points lie in [0, 1] (else InvalidConfig).  Site r * P + p is sample r
+    at point p of P, as in adaptive_estimate; a row computes each point's
+    window once for all samples.  Reading row k fits every missing row below
+    it first, so the fits, and the counters they bump, run in the order of a
+    full sweep.  No site raises: a window of m < 2 points gives NaN
+    (window_too_small), the degree is lowered to min(beta_star, m - 2)
+    (degree_lowered), and an LP failure gives NaN (lp_failures).
 
     A row's interior, its sites whose windows hold the row's most common
     size m at the full degree, is fitted in lockstep by estimate_windows
@@ -291,8 +291,8 @@ class EnvelopeRows:
     """
 
     def __init__(self, samples, points, bandwidths, beta_star, counters=None):
-        self._samples = [samples] * len(points) if isinstance(samples, Sample) else samples
-        self._points = points
+        self._samples = check_stack(samples)
+        self._points = check_points(points)
         self._bandwidths = bandwidths
         self._beta_star = beta_star
         self._counters = counters
@@ -314,31 +314,30 @@ class EnvelopeRows:
         return self._rows[k]
 
     def _fit_row(self, h):
-        points = np.asarray(self._points, dtype=float)
-        row = np.full(points.size, np.nan)
-        fitted = np.zeros(points.size, dtype=bool)
-        pairs = zip(self._samples, points.tolist())
-        bounds = np.array([window_bounds(s.n, xp, h) for s, xp in pairs], np.intp).reshape(-1, 2)
+        points, n = self._points, self._samples[0].n
+        bounds = np.array([window_bounds(n, x, h) for x in points.tolist()], np.intp)
+        bounds = np.tile(bounds.reshape(-1, 2), (len(self._samples), 1))  # shared by the samples
         sizes = bounds[:, 1] - bounds[:, 0]
+        row = np.full(sizes.size, np.nan)
+        fitted = np.zeros(sizes.size, dtype=bool)
         m = int(np.bincount(sizes, minlength=1).argmax())  # 0 on an empty grid
         interior = np.flatnonzero(sizes == m)
         if m >= self._beta_star + 2 and lockstep_pays(interior.size, m, self._beta_star + 1):
             values, _, solved = estimate_windows(
-                [self._samples[i] for i in interior], points[interior], bounds[interior, 0], m, h,
-                self._beta_star)
+                [self._samples[i // points.size] for i in interior], points[interior % points.size],
+                bounds[interior, 0], m, h, self._beta_star)
             row[interior] = values
             fitted[interior] = solved
             self._fallbacks += int(interior.size - solved.sum())
         # the other sites in order, so the counters bump as in a sweep of
         # per-site fits: a solved interior site bumps none
         for i in np.flatnonzero(~fitted):
-            row[i] = self._fit(i, h)
+            row[i] = self._fit(i, h, int(sizes[i]))
         return row
 
-    def _fit(self, i, h):
-        sample, xp = self._samples[i], self._points[i]
-        start, stop = window_bounds(sample.n, xp, h)
-        m = stop - start
+    def _fit(self, i, h, m):
+        """Site i's fit at bandwidth h, whose window holds m points."""
+        sample, xp = self._samples[i // self._points.size], self._points[i % self._points.size]
         if m < 2:
             _bump(self._counters, "window_too_small")
             return np.nan
@@ -452,8 +451,7 @@ def adaptive_estimate(sample, cfg: EstimatorConfig, x=None, grid=None):
         # every row, not only k <= k_hat + 1: the benchmark's seed-0 reference
         # counts an lp_failure from a fit above k_hat + 1, so pointwise rows
         # stay eager until that reference is regenerated
-        rows = np.array(list(EnvelopeRows([s for s in samples for _ in pts], sites, bandwidths,
-                                          cfg.beta_star, counters)))
+        rows = np.array(list(EnvelopeRows(samples, pts, bandwidths, cfg.beta_star, counters)))
     else:
         tail_points, xs = np.array([0.5]), samples[0].xs()
         on_design = x is None and pts.size == n and np.allclose(pts, xs, rtol=0.0, atol=1e-12)

@@ -50,13 +50,13 @@ def check_stack(sample) -> list:
     return samples
 
 
-def spread_overflows(top: float, bottom: float) -> bool:
-    """True when top - bottom (top >= bottom, both finite) may overflow.
+def spread_overflows(top, bottom):
+    """True where top - bottom (top >= bottom, both finite) may overflow, elementwise.
 
     Tested without subtracting the two, so no overflow warning is raised;
     only spreads within an ulp of the largest float are flagged needlessly.
     """
-    return top > 0.0 > bottom and bottom <= top - _FLOAT_MAX
+    return (top > 0.0) & (0.0 > bottom) & (bottom <= np.maximum(top, 0.0) - _FLOAT_MAX)
 
 
 def window_bounds(n: int, x: float, h: float) -> tuple[int, int]:
@@ -216,8 +216,7 @@ def _window_lps(samples, xs, starts, meff, h, degree):
         n = samples[0].n
         yw = np.array([s.ys[a : a + meff] for s, a in zip(samples, starts.tolist())])
         shift = yw.max(axis=1, keepdims=True)
-        fits = np.array([not spread_overflows(top, bottom)
-                         for top, bottom in zip(shift[:, 0].tolist(), yw.min(axis=1).tolist())])
+        fits = ~spread_overflows(shift[:, 0], yw.min(axis=1))
         if not fits.all():
             yw = np.where(fits[:, None], yw, shift)
         if (xs == xs[0]).all() and (starts == starts[0]).all():  # one basis for the stack

@@ -139,10 +139,13 @@ def gen_sample(f, em: ErrorModel, n: int, seed) -> Sample:
     """Y_j = f(j/n) + eps_j on the equidistant design, deterministic per seed.
 
     seed may be an int >= 0 or a tuple of them (e.g. (master_seed,
-    replicate)).  An error model that draws a non-finite error, such as
-    negexp at a subnormal rate, raises InvalidConfig."""
+    replicate)).  An n too large to allocate, or an error model drawing a
+    non-finite error, such as negexp at a subnormal rate, raises InvalidConfig."""
     check_setting("n", n)
-    xs = np.arange(1, n + 1, dtype=float) / n
+    try:
+        xs = np.arange(1, n + 1, dtype=float) / n
+    except (ValueError, MemoryError):  # past numpy's index range, or past memory
+        raise InvalidConfig("n is too large to allocate the design") from None
     rng = _rng_for(seed)
     errors = draw_errors(em, xs, rng)
     if not np.isfinite(errors).all():

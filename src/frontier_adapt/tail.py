@@ -147,10 +147,10 @@ def _neg_hill_rows(top):
         span = first - last
         inv_alpha = np.sum(np.log(span[:, None] / gaps), axis=1) / m
     why = [None] * top.shape[0]
-    overflows = [spread_overflows(a, b) for a, b in zip(first.tolist(), last.tolist())]
+    overflows = spread_overflows(first, last)
     # a zero gap gives an infinite or NaN 1/alpha, so a row with a finite,
     # positive one and no overflowing span passes every check
-    if any(overflows) or not ((inv_alpha > 0.0) & (inv_alpha < math.inf)).all():
+    if overflows.any() or not ((inv_alpha > 0.0) & (inv_alpha < math.inf)).all():
         _fail(why, overflows, "span of the top order statistics overflows")
         _fail(why, (span <= 0.0) | np.any(gaps <= 0.0, axis=1),
               "zero gap between top order statistics")

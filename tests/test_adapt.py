@@ -1,5 +1,6 @@
 """Grid, critical values, Lepski selection, and the adaptive pipeline."""
 
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -105,6 +106,13 @@ def test_config_validation():
     # the quadrature tolerance is a constant of iu_n, not a setting
     with pytest.raises(TypeError):
         EstimatorConfig(quadrature_tol=1e-8)
+    # checked once and frozen: a copy with a new value is checked again
+    cfg = EstimatorConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.beta_star = 11
+    with pytest.raises(InvalidConfig):
+        dataclasses.replace(cfg, beta_star=11)
+    assert dataclasses.replace(cfg, q=2.0).q == 2.0 and cfg == EstimatorConfig()
 
 
 def test_pointwise_critical_values_inverse_bandwidth_form():
@@ -540,6 +548,43 @@ def test_stack_argument_contract():
         alone, _ = adaptive_estimate(sample, cfg, grid=[0.2, 0.7])
         assert values.tobytes() == np.tile(alone, 2).tobytes()
         assert diag.points.tolist() == [0.2, 0.7, 0.2, 0.7] and diag.k_hat.shape == (selections,)
+
+
+def test_envelope_rows_stack_and_point_rules():
+    sample = gen_sample(builtin_f("f2"), ErrorModel("negexp"), 100, seed=3)
+    other = gen_sample(builtin_f("f2"), ErrorModel("negexp"), 100, seed=4)
+    for samples, points in (([], [0.5]), ([sample, Sample(np.zeros(60))], [0.5]),
+                            ([sample, sample.ys], [0.5]), (sample, [0.5, np.nan]),
+                            (sample, [1.5]), ([sample], [[0.5]])):
+        with pytest.raises(InvalidConfig):
+            EnvelopeRows(samples, points, [0.1], 2)
+    # two samples at P points are 2P sites, sample-major, each the sample
+    # alone bit for bit, whether its row went to the lockstep batch or not
+    for points in ([0.0, 0.31, 1.0], sample.xs()):
+        counters, alone_counters = {}, {}
+        hs = [0.02, 0.1, 0.4]
+        rows = EnvelopeRows([sample, other], points, hs, 2, counters)
+        alone = [EnvelopeRows(s, points, hs, 2, alone_counters) for s in (sample, other)]
+        for k in range(3):
+            assert rows[k].shape == (2 * len(points),)
+            assert rows[k].tobytes() == np.concatenate([a[k] for a in alone]).tobytes(), k
+        assert counters == alone_counters
+
+
+def test_one_window_per_point_and_row(monkeypatch):
+    # every sample of a stack shares each point's window: a row computes it
+    # once, not once per sample, and the trace's window sizes once more
+    calls = []
+    bounds = adapt.window_bounds
+
+    def counted(*args):
+        calls.append(args)
+        return bounds(*args)
+
+    monkeypatch.setattr(adapt, "window_bounds", counted)
+    samples = [gen_sample(builtin_f("f2"), ErrorModel("negexp"), 400, (7, r)) for r in range(16)]
+    _, diag = adaptive_estimate(samples, EstimatorConfig(), x=0.5)
+    assert len(calls) == 2 * (diag.grid.K + 1)
 
 
 def test_small_windows_at_high_degree_go_scalar(monkeypatch):

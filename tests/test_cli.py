@@ -728,6 +728,10 @@ def test_rates_overflowing_lq_loss_exits_4_without_warnings(tmp_path):
     (["simulate", "--f", "f2", "--em", "negexp", "--n", str(10**400)], 2),
     (["rates", "--f", "const", "--em", "negexp", "--reps", "2", "--n-list",
       f"100,200,{10**400}"], 2),
+    # a size that a float holds but numpy refuses to allocate, before touching memory
+    (["simulate", "--f", "f2", "--em", "negexp", "--n", str(10**20)], 2),
+    (["rates", "--f", "const", "--em", "negexp", "--reps", "2", "--n-list",
+      f"{10**20},100,200"], 2),
 ])
 def test_hostile_setting_exits_cleanly(tmp_path, argv, code):
     main(["simulate", "--f", "f2", "--em", "negexp", "--n", "60", "--seed", "4",
@@ -805,6 +809,17 @@ def test_package_import_leaves_multiprocessing_unloaded():
                           timeout=60, env=_source_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_package_import_leaves_heavy_modules_unloaded():
+    # scipy (its quadrature is most of the import time) loads only for L_q
+    # selection, and a process pool only for mc_risk with more than one worker
+    code = ("import sys, frontier_adapt, frontier_adapt.cli; print([m for m in "
+            "('scipy', 'concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=_source_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_rates_monte_carlo_with_worker_pool(tmp_path):

@@ -241,6 +241,11 @@ def test_spread_overflows():
     assert not spread_overflows(-1.0, -big)
     assert not spread_overflows(1.0, -1e307)
     assert not spread_overflows(1e308, 1e-308)
+    # a stack of windows, elementwise, without a warning where top is far below 0
+    tops = np.array([1e308, big, big, -1.0, -1e308])
+    with np.errstate(all="raise"):
+        flags = spread_overflows(tops, np.array([-1e308, -1e300, 0.0, -big, -big]))
+    assert flags.tolist() == [True, True, False, False, False]
 
 
 @pytest.mark.parametrize("degree", range(6))

@@ -177,17 +177,41 @@ def test_rhs_shift_along_row_combination(seed, shift):
     )
 
 
-def test_degenerate_phase_one_artificial_left_basic():
-    # objective = A^T mu with mu supported on a single row, so phase 1 of the
-    # dual ends with an artificial still basic at zero level; the solver must
-    # pivot it out instead of declaring the instance unbounded/infeasible
-    lp = LinearProgram(
-        [1.0, 0.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [-1.0, -1.0, -2.0]
-    )
-    sol = solve_lp(lp)
-    assert sol.status == OPTIMAL
-    assert sol.objective_value == pytest.approx(-1.0, abs=1e-12)
-    assert np.all(lp.constraint_matrix @ sol.variables >= lp.constraint_rhs - 1e-9)
+def test_degenerate_phase_one_artificial_left_basic(monkeypatch):
+    # the 14th draw of this generator (4 constraints, 3 variables): phase 1
+    # of its dual ends with an artificial still basic at zero level; the
+    # solver must pivot it out instead of declaring the instance
+    # unbounded/infeasible
+    rng = np.random.default_rng(0)
+    for _ in range(14):
+        lp = random_bounded_lp(rng)
+    A, c, r = lp.constraint_matrix, lp.objective, lp.constraint_rhs
+    m = A.shape[0]
+    T, basis, tol = lp_module._dual_tableau(A, c)
+    assert lp_module._run_simplex(T, basis, T.shape[1] - 1, tol)[0] == OPTIMAL
+    assert (basis >= m).any()
+    # the stacked phase 1 drives it out too: two responses, each solved as
+    # solve_lp solves it alone, vertex and pivots bit for bit
+    driven = []
+    drive_out = lp_module._drive_out
+
+    def recording(T, basis, m):
+        driven.append(drive_out(T, basis, m))
+        return driven[-1]
+
+    rhs = np.stack([r, r - np.arange(1.0, m + 1)])
+    monkeypatch.setattr(lp_module, "_drive_out", recording)
+    b, iterations, solved = lp_module.solve_lp_batch(
+        np.repeat(A[None], 2, axis=0), rhs, np.repeat(c[None], 2, axis=0))
+    assert driven == [1, 1] and solved.all()
+    monkeypatch.setattr(lp_module, "_drive_out", drive_out)
+    for p in range(2):
+        clear_phase1_memo()
+        alone = LinearProgram(c, A, rhs[p])
+        sol = solve_lp(alone)
+        assert sol.status == OPTIMAL
+        assert sol.objective_value == pytest.approx(vertex_enum_min(alone), abs=1e-12)
+        assert b[p].tobytes() == sol.variables.tobytes() and iterations[p] == sol.iterations
 
 
 # Beale's cycling example (min c.x, Ax = b, x >= 0) as a solve_lp instance:
